@@ -23,10 +23,10 @@
 //
 // While serving it exposes the observability endpoints on -http (default: an
 // ephemeral localhost port, printed at startup): /metrics (Prometheus text),
-// /metrics.json, /trace (the epoch-lifecycle event ring) and /debug/pprof.
-// A stats line prints every -stats interval, and SIGINT/SIGTERM stops the
-// ingest gracefully, prints the summary and flushes the final metrics and
-// trace snapshot to stdout.
+// /metrics.json, /spans (the epoch-lifecycle span ring as Chrome Trace Event
+// JSON) and /debug/pprof. A stats line prints every -stats interval, and
+// SIGINT/SIGTERM stops the ingest gracefully, prints the summary and
+// flushes the final metrics and span export to stdout.
 package main
 
 import (
@@ -157,12 +157,11 @@ func runServe(args []string) error {
 	system := fs.String("system", "graphgrind", "framework model serving queries: ligra, polymer or graphgrind")
 	threshold := fs.Int64("threshold", 0, "Δ(n) maintenance threshold (0: default, scaled adaptively with the degree spread)")
 	vthreshold := fs.Int64("vthreshold", 0, "δ(n) maintenance threshold (0: default)")
-	repairMode := fs.String("repair", "preserve", "maintenance strategy: preserve (segment-local swaps, engines stay patchable) or replace (legacy greedy re-placement)")
 	grow := fs.Float64("grow", 0, "per-insertion vertex-arrival probability (new vertices are admitted on the fly)")
 	noreuse := fs.Bool("noreuse", false, "rebuild engines from scratch every epoch instead of patching")
 	pace := fs.Duration("pace", 0, "delay between ingestion batches (0: ingest at full speed)")
 	seed := fs.Int64("seed", 42, "generator seed")
-	httpAddr := fs.String("http", "127.0.0.1:0", "address serving /metrics, /metrics.json, /trace and /debug/pprof (empty: disabled)")
+	httpAddr := fs.String("http", "127.0.0.1:0", "address serving /metrics, /metrics.json, /spans and /debug/pprof (empty: disabled)")
 	statsEvery := fs.Duration("stats", 5*time.Second, "interval between periodic stats lines (0: disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -189,15 +188,6 @@ func runServe(args []string) error {
 	default:
 		return fmt.Errorf("serve: unknown query workload %q", *alg)
 	}
-	var repair vebo.RepairMode
-	switch *repairMode {
-	case "preserve":
-		repair = vebo.RepairPreserve
-	case "replace":
-		repair = vebo.RepairReplace
-	default:
-		return fmt.Errorf("serve: unknown repair mode %q (preserve or replace)", *repairMode)
-	}
 
 	g, updates, err := gen.StreamFromRecipeOpts(*recipe, *scale, *ops, *seed,
 		gen.RecipeStreamOptions{GrowFrac: *grow})
@@ -211,7 +201,6 @@ func runServe(args []string) error {
 		Partitions:             *parts,
 		RebuildThreshold:       *threshold,
 		VertexRebuildThreshold: *vthreshold,
-		Repair:                 repair,
 		AutoGrow:               *grow > 0,
 		DisableViewReuse:       *noreuse,
 	})
@@ -219,7 +208,7 @@ func runServe(args []string) error {
 		return err
 	}
 
-	// Observability endpoints: the dynamic graph's registry and tracer plus
+	// Observability endpoints: the dynamic graph's registry and spans plus
 	// the standard pprof handlers, on an ephemeral port by default.
 	if *httpAddr != "" {
 		ln, lerr := net.Listen("tcp", *httpAddr)
@@ -227,7 +216,7 @@ func runServe(args []string) error {
 			return fmt.Errorf("serve: -http listen: %w", lerr)
 		}
 		mux := http.NewServeMux()
-		obs.Register(mux, d.Metrics(), d.Trace(), d.Spans())
+		obs.Register(mux, d.Metrics(), d.Spans())
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -236,11 +225,11 @@ func runServe(args []string) error {
 		srv := &http.Server{Handler: mux}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (and /metrics.json, /trace, /spans, /debug/pprof)\n", ln.Addr())
+		fmt.Printf("observability: http://%s/metrics (and /metrics.json, /spans, /debug/pprof)\n", ln.Addr())
 	}
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the ingest loop at the next
-	// batch boundary; the summary and a final metrics+trace flush follow.
+	// batch boundary; the summary and a final metrics+spans flush follow.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -404,8 +393,8 @@ func runServe(args []string) error {
 		if err := d.Metrics().WritePrometheus(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Println("--- final trace (json) ---")
-		if err := d.Trace().WriteJSON(os.Stdout); err != nil {
+		fmt.Println("--- final spans (chrome trace json) ---")
+		if err := d.Spans().WriteChromeTrace(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -45,14 +45,15 @@ func TestDynamicFacadePipeline(t *testing.T) {
 }
 
 // TestDynamicEnginesMatchFreshGraph is the acceptance check that all three
-// engines produce identical algorithm results on a post-stream snapshot and
-// on a freshly built equivalent graph.
+// engines produce identical algorithm results on a post-stream view and on
+// a freshly built equivalent graph.
 func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 	g, updates, err := GenerateStream("powerlaw", 0.04, 4000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 32})
+	topo := EngineOptions{Sockets: 2, ThreadsPerSocket: 2}
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,8 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := d.Snapshot()
+	v := d.View()
+	snap := v.Snapshot()
 	fresh, err := FromEdges(snap.NumVertices(), snap.Edges(), snap.Weighted())
 	if err != nil {
 		t.Fatal(err)
@@ -69,22 +71,20 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 		t.Fatal("snapshot and freshly built graph differ structurally")
 	}
 
-	opts := EngineOptions{Sockets: 2, ThreadsPerSocket: 2, Partitions: 32}
 	for _, sys := range []System{Ligra, Polymer, GraphGrind} {
-		// Engine over the dynamic view (reordered snapshot, live bounds),
-		// via the deprecated shim this test exists to cover.
-		//lint:ignore SA1019 the shim's compatibility contract is under test
-		de, err := d.NewEngine(sys, opts)
+		// Engine over the dynamic view (reordered snapshot, live bounds).
+		de, err := v.Engine(sys)
 		if err != nil {
 			t.Fatalf("%v: dynamic engine: %v", sys, err)
 		}
 		// The same construction over the freshly built graph.
-		r := d.Ordering()
+		r := v.Ordering()
 		rg, err := r.Apply(fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fopts := opts
+		fopts := topo
+		fopts.Partitions = 32
 		switch sys {
 		case Polymer:
 			fopts.Bounds = core.CoarsenBounds(r.Boundaries(), 2)
@@ -102,6 +102,9 @@ func TestDynamicEnginesMatchFreshGraph(t *testing.T) {
 		// the unique min-label fixpoint regardless of update order.
 		dr := PageRank(de, 5)
 		fr := PageRank(fe, 5)
+		if len(dr) != len(fr) {
+			t.Fatalf("%v: PageRank lengths differ: %d vs %d", sys, len(dr), len(fr))
+		}
 		for i := range dr {
 			if dr[i] != fr[i] {
 				t.Fatalf("%v: PageRank diverges at vertex %d: %v vs %v", sys, i, dr[i], fr[i])

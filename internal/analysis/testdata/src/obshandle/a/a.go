@@ -4,10 +4,10 @@ package a
 
 import "repro/internal/obs"
 
-func handles() (*obs.Registry, obs.Tracer) {
+func handles() (*obs.Registry, *obs.Counter) {
 	r := &obs.Registry{} // want `raw obs\.Registry literal`
-	t := obs.Tracer{}    // want `raw obs\.Tracer literal`
-	return r, t
+	c := obs.Counter{}   // want `raw obs\.Counter literal bypasses the nil-safe constructors; use obs\.NewRegistry plus Registry\.Counter`
+	return r, &c
 }
 
 func spanHandles() (*obs.Spans, *obs.ActiveSpan) {

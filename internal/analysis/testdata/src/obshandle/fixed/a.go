@@ -5,9 +5,9 @@ package fixed
 
 import "repro/internal/obs"
 
-func handles() (*obs.Registry, *obs.Tracer, *obs.Spans, *obs.ActiveSpan) {
-	s := obs.NewSpans(0)
-	return obs.NewRegistry(), obs.NewTracer(0), s, s.Start("batch", "ingest", 0, obs.SpanContext{})
+func handles() (*obs.Registry, *obs.Counter, *obs.Spans, *obs.ActiveSpan) {
+	r, s := obs.NewRegistry(), obs.NewSpans(0)
+	return r, r.Counter("vebo_requests_total"), s, s.Start("batch", "ingest", 0, obs.SpanContext{})
 }
 
 func names(r *obs.Registry) {

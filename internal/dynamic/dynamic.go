@@ -19,21 +19,16 @@
 //
 //   - Incremental ordering maintenance, gated on the imbalances. The gate
 //     (Δ(n) over the effective rebuild threshold, which scales with the
-//     graph's degree granularity unless disabled) triggers a repair whose
-//     strategy is the configured RepairMode. The default, RepairPreserve,
-//     fixes the edge balance with vertex swaps: a vertex of the most-loaded
+//     graph's degree granularity unless disabled) triggers the
+//     placement-preserving swap repair: a vertex of the most-loaded
 //     partition trades places — partition AND new ID — with a lower-degree
 //     vertex of the least-loaded one, so per-partition vertex counts, the
 //     segment boundaries of the ordering, and the new IDs of every unmoved
 //     vertex are all invariant. When no improving pair exists, a three-way
 //     rotation through an intermediate partition is tried before giving up.
-//     The legacy RepairReplace re-runs the paper's Algorithm 2 greedy
-//     placement over the vertices whose in-degree class changed
-//     (O(k log k + kP) for k dirty vertices), followed by a vertex-balance
-//     pass; it reaches slightly tighter balance but renumbers the whole
-//     ordering. Either way, if the repair cannot pull the imbalances back
-//     under their thresholds the subsystem falls back to a full
-//     core.ReorderDegrees rebuild. A background re-sort additionally
+//     If the repair cannot pull the imbalances back under their thresholds
+//     the subsystem falls back to a full core.ReorderDegrees rebuild. A
+//     background re-sort additionally
 //     restores the degree-descending order inside one partition segment
 //     after each batch whose repairs or admissions disturbed it.
 //
@@ -73,44 +68,24 @@ import (
 	"repro/internal/obs"
 )
 
-// RepairMode selects how threshold-gated maintenance restores balance.
-type RepairMode int
-
-const (
-	// RepairPreserve (the default) repairs the edge balance with vertex
-	// swaps that keep per-partition vertex counts — and therefore the
-	// partition segment boundaries of the ordering — fixed. Only the swapped
-	// vertices change new IDs (a segment-local permutation), so engine-side
-	// structures of untouched partitions stay patchable across repair
-	// epochs. δ(n) cannot drift in this mode: every move is a 1-for-1
-	// exchange.
-	RepairPreserve RepairMode = iota
-	// RepairReplace is the legacy mode: Algorithm 2's greedy placement
-	// re-runs over the dirty vertices, followed by a vertex-balance pass.
-	// It converges to slightly better Δ(n) on hostile streams but moves
-	// vertices across partitions freely, renumbering the whole ordering and
-	// invalidating every cached engine.
-	RepairReplace
-)
-
 // Config tunes a dynamic graph. The zero value selects the defaults below.
 type Config struct {
 	// Partitions is the VEBO partition count P (default 64).
 	Partitions int
 	// RebuildThreshold is the Δ(n) value above which maintenance runs: first
-	// the incremental repair (swap-based by default, see RepairMode), then —
-	// if an imbalance is still above its threshold — a full reorder.
+	// the incremental swap repair, which keeps per-partition vertex counts —
+	// and therefore the partition segment boundaries of the ordering —
+	// fixed, then — if an imbalance is still above its threshold — a full
+	// reorder.
 	// Default 2, the paper's power-law bound (Theorem 1 gives Δ ≤ 1; one
 	// in-flight batch may add one more). Unless DisableAdaptiveThreshold is
 	// set, the effective threshold additionally scales with the graph's
 	// degree spread: see EffectiveRebuildThreshold.
 	RebuildThreshold int64
 	// VertexRebuildThreshold is the δ(n) value above which maintenance runs.
-	// Replace-mode repair placement balances edges first, so δ(n) drifts
-	// under edge-only gating (to ~35 on the 100k-update powerlaw stream);
-	// gating on δ(n) too bounds it. Default 4 (2× Theorem 2's δ ≤ ~1 static
-	// bound, with slack for in-flight batches). In RepairPreserve mode δ(n)
-	// is frozen at its initial value, so this gate never fires between full
+	// Default 4 (2× Theorem 2's δ ≤ ~1 static bound, with slack for
+	// in-flight batches). Swap repairs are 1-for-1 exchanges, so δ(n) is
+	// frozen at its initial value and this gate never fires between full
 	// rebuilds.
 	VertexRebuildThreshold int64
 	// CompactEvery bounds the delta log: once the number of pending
@@ -119,8 +94,6 @@ type Config struct {
 	// max(8192, liveEdges/8): compaction costs O(m), so a fixed small bound
 	// would pay it every few batches on large graphs.
 	CompactEvery int
-	// Repair selects the maintenance strategy (default RepairPreserve).
-	Repair RepairMode
 	// DisableAdaptiveThreshold pins the Δ(n) gate to RebuildThreshold
 	// exactly instead of scaling it with the degree spread. Repairs move
 	// whole vertices, so the achievable Δ(n) is bounded below by the
@@ -136,8 +109,8 @@ type Config struct {
 	AutoGrow bool
 	// DisableSegmentResort turns off the background segment re-sort that
 	// restores degree-descending order inside one partition segment after
-	// batches whose repairs or admissions disturbed it (RepairPreserve
-	// only). Exists for the locality-decay ablation.
+	// batches whose repairs or admissions disturbed it. Exists for the
+	// locality-decay ablation.
 	DisableSegmentResort bool
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
@@ -157,16 +130,14 @@ type Config struct {
 	// latency histograms (the vebo_* series; see DESIGN.md §6). Nil disables
 	// metric collection at zero cost: the handles degrade to no-ops.
 	Metrics *obs.Registry
-	// Tracer, when set, receives one structured event per lifecycle step
-	// (batch, repair, rebuild, grow, resort, compact) with the cause and
-	// wall-clock duration alongside the modeled work counts. Nil disables
-	// tracing.
-	Tracer *obs.Tracer
-	// Spans, when set, receives causal spans for the same lifecycle steps:
+	// Spans, when set, receives one causal span per lifecycle step, with
+	// the cause and wall-clock duration alongside the modeled work counts:
 	// each batch opens an "ingest" span, maintenance work (repair, rebuild,
 	// grow, spill, resort, compact) files child spans of the batch that
 	// triggered it, and the facade layer parents publish and query spans
-	// onto the batch chain (LastBatchSpan). Nil disables span collection.
+	// onto the batch chain (LastBatchSpan). The initial build, a forced
+	// Rebuild and an explicit Compact outside a batch file parentless
+	// maintenance spans. Nil disables span collection.
 	Spans *obs.Spans
 }
 
@@ -238,13 +209,12 @@ type Stats struct {
 	// including the initial full ordering and any full rebuilds. A swap
 	// counts as two placements (both ends are re-placed).
 	Placements int64
-	// Repairs is the number of incremental repair passes (swap-based or
-	// dirty-vertex, per the configured RepairMode).
+	// Repairs is the number of incremental swap-repair passes.
 	Repairs int64
 	// RepairedVertices is the number of placements done by repairs alone.
 	RepairedVertices int64
 	// Swaps is the number of placement-preserving vertex pair exchanges
-	// performed by RepairPreserve passes.
+	// performed by repair passes.
 	Swaps int64
 	// Rotations is the number of three-way placement-preserving exchanges
 	// performed when no improving pair swap existed.
@@ -269,9 +239,6 @@ type Stats struct {
 	// at least one vertex; ResortedVertices counts the moved vertices.
 	Resorts          int64
 	ResortedVertices int64
-	// VertexMoves is the number of single-vertex moves performed by the
-	// δ(n) vertex-balance repair.
-	VertexMoves int64
 	// FullRebuilds is the number of full Algorithm 2 re-runs (not counting
 	// the initial ordering).
 	FullRebuilds int64
@@ -334,9 +301,6 @@ type Graph struct {
 	// maintained incrementally.
 	partEdges []int64
 	partVerts []int64
-	// dirty holds the vertices whose in-degree class changed since they were
-	// last placed.
-	dirty map[graph.VertexID]struct{}
 
 	stats Stats
 
@@ -347,7 +311,7 @@ type Graph struct {
 
 	// placeEpoch increments whenever any vertex changes partition (repair or
 	// rebuild). renumEpoch increments only when the whole numbering is
-	// invalidated (full rebuild or a replace-mode repair): swap repairs bump
+	// invalidated (full rebuild or headroom spill): swap repairs bump
 	// placeEpoch but not renumEpoch, because they permute IDs only inside
 	// the affected partitions' segments and the rest of the numbering
 	// survives. The cached permutation is stable across epochs that only
@@ -402,10 +366,8 @@ type Graph struct {
 	viewPlace bool
 
 	// m holds the metric handles (no-ops when Config.Metrics is nil — the
-	// struct is always populated so call sites never nil-check) and tr the
-	// lifecycle tracer (nil-tolerant itself).
-	m  dynMetrics
-	tr *obs.Tracer
+	// struct is always populated so call sites never nil-check).
+	m dynMetrics
 
 	// sp collects causal spans (nil-tolerant); curBatch is the in-flight
 	// batch span maintenance steps parent onto, lastBatch the context of the
@@ -418,9 +380,7 @@ type Graph struct {
 
 // New wraps g in a dynamic graph, computing the initial VEBO ordering.
 func New(g *graph.Graph, cfg Config) (*Graph, error) {
-	if cfg.Repair != RepairPreserve && cfg.Repair != RepairReplace {
-		return nil, fmt.Errorf("dynamic: unknown repair mode %d", cfg.Repair)
-	}
+	start := time.Now()
 	cfg = cfg.withDefaults()
 	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
 	if err != nil {
@@ -439,7 +399,6 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 		assign:    make([]uint32, g.NumVertices()),
 		partEdges: append([]int64(nil), r.EdgeCounts...),
 		partVerts: append([]int64(nil), r.VertexCounts...),
-		dirty:     make(map[graph.VertexID]struct{}),
 		viewNet:   make(map[graph.Edge]int64),
 		viewMoved: make(map[graph.VertexID]struct{}),
 	}
@@ -447,10 +406,9 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	d.stats.Placements = int64(d.n)
 	d.snapCache, d.snapEpoch = g, 0
 	d.m = newDynMetrics(cfg.Metrics, cfg.Partitions)
-	d.tr = cfg.Tracer
 	d.sp = cfg.Spans
-	d.tr.Emit(obs.Event{Kind: "graph", Cause: "build", N: map[string]int64{
-		"vertices": int64(d.n), "edges": d.liveEdges, "partitions": int64(cfg.Partitions)}})
+	d.maintainSpan("graph", "build", start, time.Since(start), map[string]int64{
+		"vertices": int64(d.n), "edges": d.liveEdges, "partitions": int64(cfg.Partitions)})
 	d.syncGauges()
 	return d, nil
 }
@@ -499,7 +457,7 @@ func (d *Graph) Epoch() int64 { return d.epoch }
 func (d *Graph) PlaceEpoch() int64 { return d.placeEpoch }
 
 // RenumEpoch returns the renumbering epoch, incremented only when the whole
-// ordering is invalidated (full rebuild or replace-mode repair). Swap
+// ordering is invalidated (full rebuild or headroom spill). Swap
 // repairs preserve it: between equal renumbering epochs, new IDs of all
 // vertices outside the drained ViewDelta.Moved set are identical.
 func (d *Graph) RenumEpoch() int64 { return d.renumEpoch }
@@ -589,7 +547,7 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 	if d.cfg.AutoGrow {
 		// Admit for the whole batch up front: one Grow call claims headroom
 		// slots for every arrival in the batch (batched per-partition
-		// admission, one trace event and one gauge sync per batch instead of
+		// admission, one grow span and one gauge sync per batch instead of
 		// per out-of-range update). The admissions stand even if a later
 		// update aborts the batch, like any update applied before the
 		// failure.
@@ -693,68 +651,39 @@ func (d *Graph) refreshGranularity() {
 	d.adaptNext = d.stats.Updates + step
 }
 
-// finishBatch runs the end-of-batch maintenance and fills the result, emitting
-// the lifecycle trace events that answer "what did this epoch do, and why":
-// a "repair" event (cause "threshold-trip") when a gate fired, a "rebuild"
-// event whose cause names which escape hatch forced it, and one "batch"
-// event summarizing the epoch.
+// finishBatch runs the end-of-batch maintenance and fills the result,
+// filing the lifecycle spans that answer "what did this epoch do, and why":
+// a "repair" span (cause "threshold-trip") when a gate fired, a "rebuild"
+// span whose cause names which escape hatch forced it, and the "batch"
+// span summarizing the epoch, which every maintenance span parents onto.
 func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	preMoves := d.stats.Swaps + d.stats.Rotations
 	if d.overThreshold() {
 		preDelta, preVert := d.EdgeImbalance(), d.VertexImbalance()
 		rstart := time.Now()
-		var swaps, rots int64
-		var stalled bool
-		if d.cfg.Repair == RepairPreserve {
-			swaps, rots, stalled = d.swapRepair()
-		} else {
-			d.repair()
-		}
+		swaps, rots, stalled := d.swapRepair()
 		rdur := time.Since(rstart)
 		d.m.repairs.Inc()
 		d.m.repairNS.Observe(int64(rdur))
 		res.Repaired = true
-		d.sp.Record(obs.Span{
-			Parent: d.curBatch.Context().ID, Name: "repair", Kind: "maintain",
-			Cause: "threshold-trip", Epoch: d.epoch, Start: rstart, Dur: rdur,
-			Attrs: map[string]int64{"swaps": swaps, "rotations": rots, "stalled": b2i(stalled)},
+		d.maintainSpan("repair", "threshold-trip", rstart, rdur, map[string]int64{
+			"delta_before": preDelta, "delta_after": d.EdgeImbalance(),
+			"vertex_before": preVert, "vertex_after": d.VertexImbalance(),
+			"threshold": d.effEdgeThreshold(), "swaps": swaps, "rotations": rots,
+			"stalled": b2i(stalled),
 		})
-		d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "repair", Cause: "threshold-trip", Dur: rdur,
-			N: map[string]int64{
-				"delta_before": preDelta, "delta_after": d.EdgeImbalance(),
-				"vertex_before": preVert, "vertex_after": d.VertexImbalance(),
-				"threshold": d.effEdgeThreshold(), "swaps": swaps, "rotations": rots,
-				"stalled": b2i(stalled),
-			}})
 		if d.overThreshold() {
 			// The repair could not pull the imbalances back under their
 			// gates; name why before falling back to the full reorder.
 			cause, ctr := "repair-shortfall", d.m.rebuildShortfall
-			if d.cfg.Repair == RepairPreserve {
-				switch {
-				case stalled:
-					cause, ctr = "rotation-stall", d.m.rebuildRotStall
-				case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
-					cause, ctr = "vertex-threshold", d.m.rebuildVertex
-				}
+			switch {
+			case stalled:
+				cause, ctr = "rotation-stall", d.m.rebuildRotStall
+			case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
+				cause, ctr = "vertex-threshold", d.m.rebuildVertex
 			}
-			bstart := time.Now()
-			d.rebuild()
-			bdur := time.Since(bstart)
-			ctr.Inc()
-			d.m.rebuildNS.Observe(int64(bdur))
+			d.rebuild(cause, ctr)
 			res.Rebuilt = true
-			d.sp.Record(obs.Span{
-				Parent: d.curBatch.Context().ID, Name: "rebuild", Kind: "maintain",
-				Cause: cause, Epoch: d.epoch, Start: bstart, Dur: bdur,
-				Attrs: map[string]int64{"placements": int64(d.n)},
-			})
-			d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "rebuild", Cause: cause, Dur: bdur,
-				N: map[string]int64{
-					"placements":   int64(d.n),
-					"delta_after":  d.EdgeImbalance(),
-					"vertex_after": d.VertexImbalance(),
-				}})
 		}
 	}
 	// Swaps and rotations decay the degree-descending order inside
@@ -762,46 +691,44 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	// re-sort one segment per disturbing batch. Headroom admissions are
 	// not disturbances — they append in sorted position. A rebuild just
 	// re-established the order everywhere.
-	if !res.Rebuilt && d.cfg.Repair == RepairPreserve && !d.cfg.DisableSegmentResort &&
+	if !res.Rebuilt && !d.cfg.DisableSegmentResort &&
 		(d.resortPending || d.stats.Swaps+d.stats.Rotations > preMoves) {
 		sstart := time.Now()
-		d.resortSegment()
-		d.sp.Record(obs.Span{
-			Parent: d.curBatch.Context().ID, Name: "resort", Kind: "maintain",
-			Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
-		})
+		q, moved := d.resortSegment()
+		d.maintainSpan("resort", "locality-decay", sstart, time.Since(sstart),
+			map[string]int64{"partition": int64(q), "moved": int64(moved)})
 	}
 	d.resortPending = false
 	if d.PendingOps() >= d.compactBound() {
-		cstart := time.Now()
 		d.Compact()
 		res.Compacted = true
-		d.sp.Record(obs.Span{
-			Parent: d.curBatch.Context().ID, Name: "compact", Kind: "maintain",
-			Epoch: d.epoch, Start: cstart, Dur: time.Since(cstart),
-		})
 	}
 	res.EdgeImbalance = d.EdgeImbalance()
 	res.VertexImbalance = d.VertexImbalance()
 	d.m.batches.Inc()
 	d.m.batchNS.ObserveSince(start)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "batch", Dur: time.Since(start),
-		N: map[string]int64{
-			"applied": int64(res.Applied), "admitted": int64(res.Admitted),
-			"edge_imbalance": res.EdgeImbalance, "vertex_imbalance": res.VertexImbalance,
-			"repaired": b2i(res.Repaired), "rebuilt": b2i(res.Rebuilt),
-			"compacted": b2i(res.Compacted),
-		}})
 	// Close out the epoch's causal root. The post-batch epoch is what views
 	// of this batch will be pinned to, so the span settles there.
 	d.curBatch.SetEpoch(d.epoch).
 		Attr("applied", int64(res.Applied)).Attr("admitted", int64(res.Admitted)).
 		Attr("repaired", b2i(res.Repaired)).Attr("rebuilt", b2i(res.Rebuilt)).
+		Attr("compacted", b2i(res.Compacted)).
+		Attr("edge_imbalance", res.EdgeImbalance).Attr("vertex_imbalance", res.VertexImbalance).
 		End()
 	d.lastBatch = d.curBatch.Context()
 	d.curBatch = nil
 	d.syncGauges()
 	return res
+}
+
+// maintainSpan files a "maintain" span for one maintenance step, child-linked
+// to the in-flight batch span — or parentless outside ApplyBatch (the
+// initial build, a forced Rebuild, an explicit Compact).
+func (d *Graph) maintainSpan(name, cause string, start time.Time, dur time.Duration, attrs map[string]int64) {
+	d.sp.Record(obs.Span{
+		Parent: d.curBatch.Context().ID, Name: name, Kind: "maintain",
+		Cause: cause, Epoch: d.epoch, Start: start, Dur: dur, Attrs: attrs,
+	})
 }
 
 // LastBatchSpan returns the causal context of the most recently finished
@@ -886,14 +813,9 @@ func (d *Graph) Grow(count int) graph.VertexID {
 	free, _ := d.Headroom()
 	d.m.admitted.Add(int64(count))
 	d.m.growNS.ObserveSince(gstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "grow", Cause: cause, Dur: time.Since(gstart),
-		N: map[string]int64{"admitted": int64(count), "vertices": int64(d.n),
-			"spills": spills, "headroom_free": free}})
-	d.sp.Record(obs.Span{
-		Parent: d.curBatch.Context().ID, Name: "grow", Kind: "maintain",
-		Cause: cause, Epoch: d.epoch, Start: gstart, Dur: time.Since(gstart),
-		Attrs: map[string]int64{"admitted": int64(count), "spills": spills, "headroom_free": free},
-	})
+	d.maintainSpan("grow", cause, gstart, time.Since(gstart), map[string]int64{
+		"admitted": int64(count), "vertices": int64(d.n),
+		"spills": spills, "headroom_free": free})
 	d.syncGauges()
 	return first
 }
@@ -933,11 +855,8 @@ func (d *Graph) spillRelabel() {
 	sstart := time.Now()
 	d.placementChanged()
 	d.ensureOrdering()
-	d.sp.Record(obs.Span{
-		Parent: d.curBatch.Context().ID, Name: "spill", Kind: "maintain",
-		Cause: map[bool]string{true: "headroom-exhausted", false: "first-growth"}[spill],
-		Epoch: d.epoch, Start: sstart, Dur: time.Since(sstart),
-	})
+	d.maintainSpan("spill", map[bool]string{true: "headroom-exhausted", false: "first-growth"}[spill],
+		sstart, time.Since(sstart), nil)
 }
 
 // Headroom reports the admission headroom of the cached slotted ordering:
@@ -965,7 +884,7 @@ func (d *Graph) SlotCounts() []int64 {
 	return append([]int64(nil), d.segCap...)
 }
 
-// b2i renders a bool as a trace count.
+// b2i renders a bool as a span attribute count.
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -980,15 +899,16 @@ func b2i(b bool) int64 {
 // tail, so segments slowly lose the layout that gives dense traversal its
 // locality; the re-sort is a segment-local permutation — exactly the shape
 // the engine patch paths already handle — recorded in the view delta's
-// moved set like any swap.
-func (d *Graph) resortSegment() {
+// moved set like any swap. Returns the partition visited and the number
+// of vertices the pass moved.
+func (d *Graph) resortSegment() (q, moved int) {
 	d.ensureOrdering()
 	d.ensureMembers()
-	q := d.resortNext % d.cfg.Partitions
+	q = d.resortNext % d.cfg.Partitions
 	d.resortNext++
 	l := d.members[q]
 	if len(l) < 2 {
-		return
+		return q, 0
 	}
 	byPos := append([]graph.VertexID(nil), l...)
 	sort.Slice(byPos, func(i, j int) bool { return d.ordPerm[byPos[i]] < d.ordPerm[byPos[j]] })
@@ -999,14 +919,14 @@ func (d *Graph) resortSegment() {
 		}
 		return want[i] < want[j]
 	})
-	var moved []graph.VertexID
+	var movers []graph.VertexID
 	for i := range want {
 		if want[i] != byPos[i] {
-			moved = append(moved, want[i])
+			movers = append(movers, want[i])
 		}
 	}
-	if len(moved) == 0 {
-		return
+	if len(movers) == 0 {
+		return q, 0
 	}
 	pos := make([]graph.VertexID, len(byPos))
 	for i, v := range byPos {
@@ -1019,14 +939,13 @@ func (d *Graph) resortSegment() {
 	d.ordPerm = perm
 	d.placeEpoch++
 	d.ordPlace = d.placeEpoch
-	for _, v := range moved {
+	for _, v := range movers {
 		d.viewMoved[v] = struct{}{}
 	}
 	d.stats.Resorts++
-	d.stats.ResortedVertices += int64(len(moved))
+	d.stats.ResortedVertices += int64(len(movers))
 	d.m.resorts.Inc()
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "resort", Cause: "locality-decay",
-		N: map[string]int64{"partition": int64(q), "moved": int64(len(moved))}})
+	return q, len(movers)
 }
 
 func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
@@ -1037,7 +956,6 @@ func (d *Graph) insertEdge(s, dst graph.VertexID, w int32) {
 	d.liveEdges++
 	d.degIn[dst]++
 	d.partEdges[d.assign[dst]]++
-	d.markDirty(dst)
 	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: w}, +1)
 	d.touch()
 	d.stats.Updates++
@@ -1092,7 +1010,6 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 	d.liveEdges--
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
-	d.markDirty(dst)
 	d.noteChange(graph.Edge{Src: s, Dst: dst, Weight: died}, -1)
 	d.touch()
 	d.stats.Updates++
@@ -1160,15 +1077,6 @@ func (d *Graph) noteChange(e graph.Edge, sign int64) {
 
 func (d *Graph) touch() {
 	d.epoch++
-}
-
-// markDirty records that dst's in-degree class changed. Only the
-// replace-mode repair consumes the dirty set; the swap repair picks movers
-// by current load, so preserve mode skips the bookkeeping.
-func (d *Graph) markDirty(dst graph.VertexID) {
-	if d.cfg.Repair == RepairReplace {
-		d.dirty[dst] = struct{}{}
-	}
 }
 
 // ensureMembers (re)builds the per-partition member lists when stale.
@@ -1504,120 +1412,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 	return swaps, rots, stalled
 }
 
-// repair re-runs Algorithm 2's greedy placement over the dirty vertices
-// only: each is removed from its partition and re-placed in decreasing live
-// degree order onto the currently least-loaded partition — least edges for
-// non-zero-degree vertices (phase 1), least vertices for zero-degree
-// vertices (phase 2).
-func (d *Graph) repair() {
-	if len(d.dirty) == 0 {
-		return
-	}
-	verts := make([]graph.VertexID, 0, len(d.dirty))
-	for v := range d.dirty {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool {
-		if d.degIn[verts[i]] != d.degIn[verts[j]] {
-			return d.degIn[verts[i]] > d.degIn[verts[j]]
-		}
-		return verts[i] < verts[j]
-	})
-	for _, v := range verts {
-		p := d.assign[v]
-		d.partEdges[p] -= d.degIn[v]
-		d.partVerts[p]--
-	}
-	for _, v := range verts {
-		var q int
-		if d.degIn[v] > 0 {
-			// Least-edges placement as in phase 1, but ties broken toward the
-			// least-vertex partition: repairs run continuously, and an
-			// edge-only arg-min lets δ(n) drift batch over batch (ROADMAP's
-			// δ-drift item) while the tie-break keeps it near the static
-			// bound at no cost to Δ(n).
-			q = argMin2(d.partEdges, d.partVerts)
-		} else {
-			q = argMin2(d.partVerts, d.partEdges)
-		}
-		d.assign[v] = uint32(q)
-		d.partEdges[q] += d.degIn[v]
-		d.partVerts[q]++
-	}
-	d.stats.Repairs++
-	d.stats.RepairedVertices += int64(len(verts))
-	d.stats.Placements += int64(len(verts))
-	d.dirty = make(map[graph.VertexID]struct{})
-	d.placementChanged()
-	if d.VertexImbalance() > d.cfg.VertexRebuildThreshold {
-		d.vertexRepair()
-	}
-}
-
-// vertexRepair pulls δ(n) back under its threshold by moving the
-// lowest-degree vertices of overfull partitions onto the least-vertex
-// partition. Edge-focused repairs run continuously and place by least-edges,
-// so vertex counts drift batch over batch (the ROADMAP δ-drift item); this
-// pass corrects them directly, preferring zero-degree vertices whose move
-// cannot disturb Δ(n). If it runs out of useful moves the caller's
-// threshold check falls through to a full rebuild.
-func (d *Graph) vertexRepair() {
-	th := d.cfg.VertexRebuildThreshold
-	p := d.cfg.Partitions
-	lists := make([][]graph.VertexID, p)
-	for v := 0; v < d.n; v++ {
-		q := d.assign[v]
-		lists[q] = append(lists[q], graph.VertexID(v))
-	}
-	// Bucketing is O(n); sorting is deferred until a partition actually
-	// becomes the overfull donor, so a typical invocation sorts one or two
-	// partitions (O(n/P log n/P)) instead of all of them.
-	sorted := make([]bool, p)
-	ptr := make([]int, p)
-	var moves int64
-	for i := 0; i < d.n; i++ {
-		pmax := argMin2Neg(d.partVerts)
-		pmin := argMin2(d.partVerts, d.partEdges)
-		if d.partVerts[pmax]-d.partVerts[pmin] <= th {
-			break
-		}
-		if !sorted[pmax] {
-			l := lists[pmax]
-			sort.Slice(l, func(i, j int) bool {
-				if d.degIn[l[i]] != d.degIn[l[j]] {
-					return d.degIn[l[i]] < d.degIn[l[j]]
-				}
-				return l[i] < l[j]
-			})
-			sorted[pmax] = true
-		}
-		var v graph.VertexID
-		found := false
-		for ptr[pmax] < len(lists[pmax]) {
-			cand := lists[pmax][ptr[pmax]]
-			ptr[pmax]++
-			if d.assign[cand] == uint32(pmax) {
-				v, found = cand, true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		d.assign[v] = uint32(pmin)
-		d.partVerts[pmax]--
-		d.partVerts[pmin]++
-		d.partEdges[pmax] -= d.degIn[v]
-		d.partEdges[pmin] += d.degIn[v]
-		moves++
-	}
-	if moves > 0 {
-		d.stats.Placements += moves
-		d.stats.VertexMoves += moves
-		d.placementChanged()
-	}
-}
-
 // argMin2Neg returns the index of the maximum value (lowest index wins ties).
 func argMin2Neg(xs []int64) int {
 	best := 0
@@ -1629,8 +1423,11 @@ func argMin2Neg(xs []int64) int {
 	return best
 }
 
-// rebuild runs the full Algorithm 2 over the live degree array.
-func (d *Graph) rebuild() {
+// rebuild runs the full Algorithm 2 over the live degree array, counting it
+// on ctr (the vebo_rebuilds_total series of its cause) and filing a
+// "rebuild" span that names the cause.
+func (d *Graph) rebuild(cause string, ctr *obs.Counter) {
+	start := time.Now()
 	r, err := core.ReorderDegrees(d.degIn, d.cfg.Partitions, core.Options{})
 	if err != nil {
 		// Unreachable: the config validated P at New time.
@@ -1639,10 +1436,17 @@ func (d *Graph) rebuild() {
 	copy(d.assign, r.PartitionOf)
 	copy(d.partEdges, r.EdgeCounts)
 	copy(d.partVerts, r.VertexCounts)
-	d.dirty = make(map[graph.VertexID]struct{})
 	d.stats.FullRebuilds++
 	d.stats.Placements += int64(d.n)
 	d.placementChanged()
+	dur := time.Since(start)
+	ctr.Inc()
+	d.m.rebuildNS.Observe(int64(dur))
+	d.maintainSpan("rebuild", cause, start, dur, map[string]int64{
+		"placements":   int64(d.n),
+		"delta_after":  d.EdgeImbalance(),
+		"vertex_after": d.VertexImbalance(),
+	})
 }
 
 // placementChanged invalidates everything keyed to the placement: the cached
@@ -1662,12 +1466,7 @@ func (d *Graph) placementChanged() {
 
 // Rebuild forces a full reorder regardless of the thresholds.
 func (d *Graph) Rebuild() {
-	bstart := time.Now()
-	d.rebuild()
-	d.m.rebuildForced.Inc()
-	d.m.rebuildNS.ObserveSince(bstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "rebuild", Cause: "forced", Dur: time.Since(bstart),
-		N: map[string]int64{"placements": int64(d.n)}})
+	d.rebuild("forced", d.m.rebuildForced)
 	d.syncGauges()
 }
 
@@ -1794,7 +1593,9 @@ func (d *Graph) Snapshot() *graph.Graph {
 
 // Compact promotes the current snapshot to the new base graph and clears the
 // delta log. Engines holding older snapshots (and views holding older
-// freezes) are unaffected: the old base and log prefix stay immutable.
+// freezes) are unaffected: the old base and log prefix stay immutable. The
+// "compact" span it files parents onto the in-flight batch when the delta
+// log bound triggered it from ApplyBatch.
 func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
@@ -1807,13 +1608,13 @@ func (d *Graph) Compact() {
 	d.stats.Compactions++
 	d.m.compactions.Inc()
 	d.m.compactNS.ObserveSince(cstart)
-	d.tr.Emit(obs.Event{Epoch: d.epoch, Kind: "compact", Cause: "log-bound", Dur: time.Since(cstart),
-		N: map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges}})
+	d.maintainSpan("compact", "log-bound", cstart, time.Since(cstart),
+		map[string]int64{"pending_ops": pending, "base_edges": d.liveEdges})
 }
 
 // ensureOrdering makes the cached permutation current. The full
 // (partition, degree desc, ID) sort runs only when the numbering lineage
-// broke (initial call, full rebuild, replace-mode repair, headroom spill);
+// broke (initial call, full rebuild, headroom spill);
 // swap repairs update the cached permutation copy-on-write themselves, and
 // Grow extends it in place, so between renumbering events the new IDs of
 // unmoved vertices never change. Once the vertex space has started growing,
@@ -1872,8 +1673,8 @@ func (d *Graph) ensureOrdering() {
 // renumbers vertices so each partition owns a contiguous new-ID range, with
 // vertices in decreasing degree order (as of the last renumbering event)
 // inside it, as Algorithm 2's phase 3 does. The permutation is recomputed
-// only when the numbering lineage breaks (full rebuild or replace-mode
-// repair); swap repairs permute it copy-on-write at exactly the swapped
+// only when the numbering lineage breaks (full rebuild or headroom spill);
+// swap repairs permute it copy-on-write at exactly the swapped
 // positions, and degree-only epochs keep the exact numbering — which is
 // what lets engine-side structures of unchanged partitions be reused —
 // while the returned per-partition counts are always current. Once the
@@ -1912,8 +1713,8 @@ type ViewDelta struct {
 	// permutation entry is the identity).
 	Moved map[graph.VertexID]struct{}
 	// PlacementChanged reports whether the whole numbering was invalidated
-	// since the last drain (full rebuild or replace-mode repair); swap
-	// repairs set Moved instead.
+	// since the last drain (full rebuild or headroom spill); swap repairs
+	// set Moved instead.
 	PlacementChanged bool
 	// Grown is the per-partition count of vertices admitted since the last
 	// drain (nil when none): partition p absorbed Grown[p] admissions into

@@ -641,16 +641,3 @@ func TestAdaptiveThresholdUniformDegrees(t *testing.T) {
 		t.Fatalf("powerlaw effective threshold = %d, want the configured 2", got)
 	}
 }
-
-// TestNewRejectsUnknownRepairMode guards the mode dispatch: an undefined
-// RepairMode must fail construction instead of silently degrading to
-// rebuild-per-batch.
-func TestNewRejectsUnknownRepairMode(t *testing.T) {
-	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(g, Config{Partitions: 2, Repair: RepairMode(7)}); err == nil {
-		t.Fatal("expected error for unknown repair mode")
-	}
-}

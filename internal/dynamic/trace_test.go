@@ -8,40 +8,52 @@ import (
 	"repro/internal/obs"
 )
 
-// instrumented builds a dynamic graph with a live registry and tracer, the
-// configuration every trace regression below scrapes.
-func instrumented(t *testing.T, g *graph.Graph, cfg Config) (*Graph, *obs.Registry, *obs.Tracer) {
+// instrumented builds a dynamic graph with a live registry and span
+// collector, the configuration every lifecycle regression below scrapes.
+func instrumented(t *testing.T, g *graph.Graph, cfg Config) (*Graph, *obs.Registry, *obs.Spans) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(256)
+	sp := obs.NewSpans(256)
 	cfg.Metrics = reg
-	cfg.Tracer = tr
+	cfg.Spans = sp
 	d, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, reg, tr
+	return d, reg, sp
 }
 
-// findEvent returns the last trace event matching kind (and cause, when
+// findSpan returns the last span named name (with the given cause, when
 // non-empty).
-func findEvent(evs []obs.Event, kind, cause string) *obs.Event {
-	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].Kind == kind && (cause == "" || evs[i].Cause == cause) {
-			return &evs[i]
+func findSpan(spans []obs.Span, name, cause string) *obs.Span {
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Name == name && (cause == "" || spans[i].Cause == cause) {
+			return &spans[i]
 		}
 	}
 	return nil
 }
 
+// spansForEpoch is the "why did epoch E do that?" query: the retained spans
+// pinned to one epoch, in completion order.
+func spansForEpoch(spans []obs.Span, epoch int64) []obs.Span {
+	var out []obs.Span
+	for _, sp := range spans {
+		if sp.Epoch == epoch {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 // TestTraceThresholdTrip pins the first required cause annotation: a
-// Δ(n)-gated repair must leave a "repair" event with cause "threshold-trip"
+// Δ(n)-gated repair must leave a "repair" span with cause "threshold-trip"
 // carrying the before/after imbalances, so the epoch's story is readable
-// from the trace alone.
+// from the spans alone.
 func TestTraceThresholdTrip(t *testing.T) {
 	const D = 10
 	g := hostileDegreeGraph(t)
-	d, reg, tr := instrumented(t, g, Config{
+	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               3,
 		RebuildThreshold:         D/2 + 1,
 		VertexRebuildThreshold:   1 << 40,
@@ -80,31 +92,32 @@ func TestTraceThresholdTrip(t *testing.T) {
 		t.Fatalf("expected a pure repair batch, got %+v", res)
 	}
 
-	ev := findEvent(tr.Events(), "repair", "threshold-trip")
-	if ev == nil {
-		t.Fatalf("no repair/threshold-trip event in trace: %+v", tr.Events())
+	spans := sp.Snapshot()
+	rs := findSpan(spans, "repair", "threshold-trip")
+	if rs == nil {
+		t.Fatalf("no repair/threshold-trip span: %+v", spans)
 	}
-	if ev.Epoch != d.Epoch() {
-		t.Fatalf("repair event epoch %d, graph epoch %d", ev.Epoch, d.Epoch())
+	if rs.Epoch != d.Epoch() {
+		t.Fatalf("repair span epoch %d, graph epoch %d", rs.Epoch, d.Epoch())
 	}
-	if ev.N["delta_before"] <= ev.N["threshold"] {
-		t.Fatalf("repair event claims gate did not trip: %+v", ev.N)
+	if rs.Attrs["delta_before"] <= rs.Attrs["threshold"] {
+		t.Fatalf("repair span claims gate did not trip: %+v", rs.Attrs)
 	}
-	if ev.N["delta_after"] >= ev.N["delta_before"] {
-		t.Fatalf("repair event shows no improvement: %+v", ev.N)
+	if rs.Attrs["delta_after"] >= rs.Attrs["delta_before"] {
+		t.Fatalf("repair span shows no improvement: %+v", rs.Attrs)
 	}
-	if ev.N["rotations"] == 0 || ev.N["stalled"] != 0 {
-		t.Fatalf("hostile-degree repair should rotate without stalling: %+v", ev.N)
+	if rs.Attrs["rotations"] == 0 || rs.Attrs["stalled"] != 0 {
+		t.Fatalf("hostile-degree repair should rotate without stalling: %+v", rs.Attrs)
 	}
-	if ev.Dur <= 0 {
-		t.Fatalf("repair event missing wall-clock duration")
+	if rs.Dur <= 0 {
+		t.Fatalf("repair span missing wall-clock duration")
 	}
-	// The batch summary event closes the epoch.
-	if be := findEvent(tr.Events(), "batch", ""); be == nil || be.N["repaired"] != 1 {
-		t.Fatalf("batch event missing or not marked repaired: %+v", be)
+	// The batch span closes the epoch.
+	if bs := findSpan(spans, "batch", ""); bs == nil || bs.Attrs["repaired"] != 1 {
+		t.Fatalf("batch span missing or not marked repaired: %+v", bs)
 	}
 
-	// Registry counters mirror the trace.
+	// Registry counters mirror the spans.
 	if got := reg.Counter("vebo_repairs_total").Value(); got != 1 {
 		t.Fatalf("vebo_repairs_total = %d", got)
 	}
@@ -120,14 +133,14 @@ func TestTraceThresholdTrip(t *testing.T) {
 // TestTraceRotationStall pins the second required cause annotation: when the
 // pair search finds nothing and no intermediate partition exists (P=2), the
 // repair stalls and the forced full rebuild must be annotated
-// "rotation-stall" — the trace alone answers "why did epoch E rebuild
+// "rotation-stall" — the spans alone answer "why did epoch E rebuild
 // instead of patch".
 func TestTraceRotationStall(t *testing.T) {
 	g, err := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, reg, tr := instrumented(t, g, Config{
+	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               2,
 		RebuildThreshold:         1,
 		VertexRebuildThreshold:   1 << 40,
@@ -149,23 +162,26 @@ func TestTraceRotationStall(t *testing.T) {
 		t.Fatalf("scenario no longer forces a rebuild: %+v", res)
 	}
 
-	evs := tr.Events()
-	reb := findEvent(evs, "rebuild", "")
+	spans := sp.Snapshot()
+	reb := findSpan(spans, "rebuild", "")
 	if reb == nil {
-		t.Fatalf("no rebuild event in trace: %+v", evs)
+		t.Fatalf("no rebuild span: %+v", spans)
 	}
 	if reb.Cause != "rotation-stall" {
 		t.Fatalf("rebuild cause = %q, want rotation-stall", reb.Cause)
 	}
-	// The full epoch story: EventsForEpoch(E) alone explains the rebuild —
+	if reb.Epoch != d.Epoch() || reb.Dur <= 0 {
+		t.Fatalf("rebuild span epoch %d (graph epoch %d), dur %v", reb.Epoch, d.Epoch(), reb.Dur)
+	}
+	// The full epoch story: the spans of epoch E alone explain the rebuild —
 	// a gated repair that stalled, then the rebuild naming the stall.
-	story := tr.EventsForEpoch(reb.Epoch)
-	rep := findEvent(story, "repair", "threshold-trip")
-	if rep == nil || rep.N["stalled"] != 1 {
+	story := spansForEpoch(spans, reb.Epoch)
+	rep := findSpan(story, "repair", "threshold-trip")
+	if rep == nil || rep.Attrs["stalled"] != 1 {
 		t.Fatalf("epoch %d story lacks a stalled repair: %+v", reb.Epoch, story)
 	}
-	if rep.Seq >= reb.Seq {
-		t.Fatalf("repair (seq %d) not ordered before rebuild (seq %d)", rep.Seq, reb.Seq)
+	if rep.ID >= reb.ID {
+		t.Fatalf("repair (span %d) not ordered before rebuild (span %d)", rep.ID, reb.ID)
 	}
 
 	if got := reg.Counter("vebo_rebuilds_total", "cause", "rotation-stall").Value(); got != 1 {
@@ -189,23 +205,26 @@ func TestTraceGrowthSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, reg, tr := instrumented(t, g, Config{Partitions: 4})
+	d, reg, sp := instrumented(t, g, Config{Partitions: 4})
 	if first := d.Grow(3); first != 12 {
 		t.Fatalf("first admitted ID %d, want 12", first)
 	}
-	ev := findEvent(tr.Events(), "grow", "")
-	if ev == nil {
-		t.Fatalf("no grow event in trace: %+v", tr.Events())
+	gs := findSpan(sp.Snapshot(), "grow", "")
+	if gs == nil {
+		t.Fatalf("no grow span: %+v", sp.Snapshot())
 	}
-	if ev.Cause != "growth-headroom" {
-		t.Fatalf("grow cause = %q, want growth-headroom (N=%+v)", ev.Cause, ev.N)
+	if gs.Cause != "growth-headroom" {
+		t.Fatalf("grow cause = %q, want growth-headroom (attrs=%+v)", gs.Cause, gs.Attrs)
 	}
-	if ev.N["admitted"] != 3 || ev.N["vertices"] != 15 || ev.N["spills"] != 0 {
-		t.Fatalf("grow event N = %+v", ev.N)
+	if gs.Epoch != d.Epoch() || gs.Dur <= 0 {
+		t.Fatalf("grow span epoch %d (graph epoch %d), dur %v", gs.Epoch, d.Epoch(), gs.Dur)
+	}
+	if gs.Attrs["admitted"] != 3 || gs.Attrs["vertices"] != 15 || gs.Attrs["spills"] != 0 {
+		t.Fatalf("grow span attrs = %+v", gs.Attrs)
 	}
 	free, capacity := d.Headroom()
-	if capacity == 0 || ev.N["headroom_free"] != free {
-		t.Fatalf("Headroom() = (%d, %d), event free %d", free, capacity, ev.N["headroom_free"])
+	if capacity == 0 || gs.Attrs["headroom_free"] != free {
+		t.Fatalf("Headroom() = (%d, %d), span free %d", free, capacity, gs.Attrs["headroom_free"])
 	}
 	// The conversion of a compact lineage to a slotted one is not a spill.
 	if got := reg.Counter("vebo_headroom_spill_total").Value(); got != 0 {
@@ -227,14 +246,17 @@ func TestTraceGrowthSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, reg2, tr2 := instrumented(t, g2, Config{Partitions: 2, MinHeadroom: 1, HeadroomFrac: -1})
+	d2, reg2, sp2 := instrumented(t, g2, Config{Partitions: 2, MinHeadroom: 1, HeadroomFrac: -1})
 	d2.Grow(3)
-	ev2 := findEvent(tr2.Events(), "grow", "")
-	if ev2 == nil || ev2.Cause != "growth-spill" {
-		t.Fatalf("exhausted grow cause = %+v, want growth-spill", ev2)
+	gs2 := findSpan(sp2.Snapshot(), "grow", "")
+	if gs2 == nil || gs2.Cause != "growth-spill" {
+		t.Fatalf("exhausted grow cause = %+v, want growth-spill", gs2)
 	}
-	if ev2.N["spills"] != 1 {
-		t.Fatalf("spill grow event N = %+v", ev2.N)
+	if gs2.Attrs["spills"] != 1 {
+		t.Fatalf("spill grow span attrs = %+v", gs2.Attrs)
+	}
+	if ss := findSpan(sp2.Snapshot(), "spill", "headroom-exhausted"); ss == nil || ss.ID >= gs2.ID {
+		t.Fatalf("no headroom-exhausted spill span ordered before the grow: %+v", ss)
 	}
 	if got := reg2.Counter("vebo_headroom_spill_total").Value(); got != 1 {
 		t.Fatalf("vebo_headroom_spill_total = %d, want 1", got)

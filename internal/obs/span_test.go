@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -34,16 +35,24 @@ func TestSpansRingOverflowOrdering(t *testing.T) {
 
 func TestSpansPartialRingKeepsOrder(t *testing.T) {
 	s := NewSpans(8)
-	for i := 0; i < 3; i++ {
-		s.Record(Span{Name: "q", Kind: "query"})
+	want := []Span{
+		{Name: "repair", Kind: "maintain", Cause: "threshold-trip"},
+		{Name: "rebuild", Kind: "maintain", Cause: "rotation-stall"},
+		{Name: "q", Kind: "query"},
+	}
+	for _, sp := range want {
+		s.Record(sp)
 	}
 	snap := s.Snapshot()
 	if len(snap) != 3 || s.Dropped() != 0 {
 		t.Fatalf("Snapshot len=%d Dropped=%d, want 3 and 0", len(snap), s.Dropped())
 	}
 	for i, sp := range snap {
-		if want := SpanID(1 + i); sp.ID != want {
-			t.Errorf("Snapshot()[%d].ID = %d, want %d", i, sp.ID, want)
+		if id := SpanID(1 + i); sp.ID != id {
+			t.Errorf("Snapshot()[%d].ID = %d, want %d", i, sp.ID, id)
+		}
+		if sp.Name != want[i].Name || sp.Cause != want[i].Cause {
+			t.Errorf("Snapshot()[%d] = %s/%s, want %s/%s", i, sp.Name, sp.Cause, want[i].Name, want[i].Cause)
 		}
 	}
 }
@@ -160,6 +169,18 @@ func TestSpansConcurrentEmitAndExport(t *testing.T) {
 	<-readerDone
 	if got := s.Recorded(); got != writers*perWriter {
 		t.Fatalf("Recorded() = %d, want %d", got, writers*perWriter)
+	}
+	// The full ring retains exactly its capacity, each span once.
+	snap := s.Snapshot()
+	if len(snap) != 64 {
+		t.Fatalf("Snapshot() retained %d spans, want 64", len(snap))
+	}
+	seen := make(map[SpanID]bool, len(snap))
+	for _, sp := range snap {
+		if seen[sp.ID] {
+			t.Fatalf("span %d retained twice", sp.ID)
+		}
+		seen[sp.ID] = true
 	}
 }
 
@@ -295,5 +316,171 @@ func TestSpanTracks(t *testing.T) {
 		if tid, _ := spanTrack(c.kind); tid != c.tid {
 			t.Errorf("spanTrack(%q) tid = %d, want %d", c.kind, tid, c.tid)
 		}
+	}
+}
+
+// The tests below hold the span ring to the epoch-lifecycle record's
+// contract: bounded retention with drop accounting, ID ordering, the
+// per-epoch story as a Snapshot filter, nil safety, JSON export and
+// concurrent recording.
+
+// spansForEpoch is the "why did epoch E do that?" query: the retained
+// spans pinned to epoch, in span-ID order.
+func spansForEpoch(s *Spans, epoch int64) []Span {
+	var out []Span
+	for _, sp := range s.Snapshot() {
+		if sp.Epoch == epoch {
+			out = append(out, sp)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func TestTracerRingOverflow(t *testing.T) {
+	s := NewSpans(4)
+	for i := 1; i <= 10; i++ {
+		s.Start("batch", "ingest", int64(i), SpanContext{}).End()
+	}
+	if got := s.Recorded(); got != 10 {
+		t.Fatalf("recorded = %d", got)
+	}
+	if got := s.Dropped(); got != 6 {
+		t.Fatalf("dropped = %d", got)
+	}
+	snap := s.Snapshot()
+	if len(snap) != 4 {
+		t.Fatalf("retained %d spans", len(snap))
+	}
+	// The newest capacity spans survive, oldest first, with contiguous
+	// monotonic IDs.
+	for i, sp := range snap {
+		wantID := SpanID(7 + i)
+		if sp.ID != wantID || sp.Epoch != int64(wantID) {
+			t.Fatalf("span %d = id %d epoch %d, want id %d", i, sp.ID, sp.Epoch, wantID)
+		}
+		if sp.Start.IsZero() {
+			t.Fatalf("span %d has zero start", i)
+		}
+	}
+}
+
+func TestTracerPartialRing(t *testing.T) {
+	s := NewSpans(8)
+	s.Start("repair", "maintain", 0, SpanContext{}).SetCause("threshold-trip").End()
+	s.Start("rebuild", "maintain", 0, SpanContext{}).SetCause("rotation-stall").End()
+	if s.Dropped() != 0 {
+		t.Fatalf("dropped = %d", s.Dropped())
+	}
+	snap := s.Snapshot()
+	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
+		t.Fatalf("spans = %+v", snap)
+	}
+	if snap[0].Name != "repair" || snap[1].Cause != "rotation-stall" {
+		t.Fatalf("spans out of order: %+v", snap)
+	}
+}
+
+func TestEventsForEpoch(t *testing.T) {
+	s := NewSpans(16)
+	s.Record(Span{Epoch: 5, Name: "repair", Kind: "maintain", Cause: "threshold-trip"})
+	s.Record(Span{Epoch: 5, Name: "rebuild", Kind: "maintain", Cause: "repair-shortfall"})
+	s.Record(Span{Epoch: 6, Name: "batch", Kind: "ingest"})
+	story := spansForEpoch(s, 5)
+	if len(story) != 2 || story[0].Name != "repair" || story[1].Name != "rebuild" {
+		t.Fatalf("epoch 5 spans = %+v", story)
+	}
+	if got := spansForEpoch(s, 99); got != nil {
+		t.Fatalf("epoch 99 spans = %+v", got)
+	}
+}
+
+func TestNilTracer(t *testing.T) {
+	var s *Spans
+	s.Start("batch", "ingest", 0, SpanContext{}).End() // must not panic
+	s.Record(Span{Name: "batch", Kind: "ingest"})
+	if s.Recorded() != 0 || s.Dropped() != 0 || s.Snapshot() != nil {
+		t.Fatalf("nil collector retained state")
+	}
+	if err := s.WriteChromeTrace(&bytes.Buffer{}); err != nil {
+		t.Fatalf("nil WriteChromeTrace: %v", err)
+	}
+}
+
+func TestTracerWriteJSON(t *testing.T) {
+	s := NewSpans(4)
+	s.Start("grow", "maintain", 3, SpanContext{}).SetCause("growth-spill").Attr("admitted", 7).End()
+	var buf bytes.Buffer
+	if err := s.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var ct chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if ct.Recorded != 1 || ct.Dropped != 0 {
+		t.Fatalf("recorded/dropped = %d/%d", ct.Recorded, ct.Dropped)
+	}
+	var slices int
+	for _, ev := range ct.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		slices++
+		if ev.Name != "grow" || ev.Cat != "maintain" || ev.Args["cause"] != "growth-spill" ||
+			ev.Args["admitted"] != float64(7) || ev.Args["epoch"] != float64(3) {
+			t.Fatalf("span event = %+v", ev)
+		}
+	}
+	if slices != 1 {
+		t.Fatalf("exported %d span slices, want 1", slices)
+	}
+}
+
+// TestConcurrentEmit exercises the span ring from many goroutines; under
+// -race this is the ring's safety proof.
+func TestConcurrentEmit(t *testing.T) {
+	s := NewSpans(64)
+	const writers, perWriter = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(writer int64) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				s.Start("batch", "ingest", writer, SpanContext{}).End()
+			}
+		}(int64(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = s.Snapshot()
+			_ = s.Dropped()
+		}
+	}()
+	wg.Wait()
+	if got := s.Recorded(); got != writers*perWriter {
+		t.Fatalf("recorded = %d", got)
+	}
+	if got := s.Dropped(); got != writers*perWriter-64 {
+		t.Fatalf("dropped = %d", got)
+	}
+	snap := s.Snapshot()
+	if len(snap) != 64 {
+		t.Fatalf("retained %d", len(snap))
+	}
+	// IDs are unique and in range, and each writer's spans keep the order
+	// in which that writer recorded them.
+	last := make(map[int64]SpanID, writers)
+	for i, sp := range snap {
+		if sp.ID == 0 || sp.ID > writers*perWriter {
+			t.Fatalf("span %d has out-of-range id %d", i, sp.ID)
+		}
+		if prev, ok := last[sp.Epoch]; ok && sp.ID <= prev {
+			t.Fatalf("writer %d: id %d retained after %d", sp.Epoch, sp.ID, prev)
+		}
+		last[sp.Epoch] = sp.ID
 	}
 }

@@ -119,7 +119,9 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 		}
 	}
 
-	// /metrics.json round-trips, and /trace serves the epoch event ring.
+	// /metrics.json round-trips, and /spans serves the epoch-lifecycle
+	// record: a batch span whose publish child is retained in the same
+	// export.
 	var series []struct {
 		Name  string `json:"name"`
 		Value int64  `json:"value"`
@@ -130,14 +132,32 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatalf("/metrics.json empty")
 	}
-	var snap struct {
-		Emitted uint64            `json:"emitted"`
-		Events  []json.RawMessage `json:"events"`
+	var export struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(scrape(t, srv.URL, "/trace")), &snap); err != nil {
-		t.Fatalf("/trace invalid: %v", err)
+	if err := json.Unmarshal([]byte(scrape(t, srv.URL, "/spans")), &export); err != nil {
+		t.Fatalf("/spans invalid: %v", err)
 	}
-	if snap.Emitted == 0 || len(snap.Events) == 0 {
-		t.Fatalf("/trace has no events: %+v", snap)
+	batches := make(map[float64]bool)
+	for _, ev := range export.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "batch" {
+			batches[ev.Args["span_id"].(float64)] = true
+		}
+	}
+	linked := false
+	for _, ev := range export.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "publish" {
+			if parent, ok := ev.Args["parent_id"].(float64); ok && batches[parent] {
+				linked = true
+				break
+			}
+		}
+	}
+	if len(batches) == 0 || !linked {
+		t.Fatalf("/spans holds %d batch spans, publish child retained: %v", len(batches), linked)
 	}
 }

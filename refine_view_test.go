@@ -207,9 +207,10 @@ func TestRefineCachedOnSameView(t *testing.T) {
 
 // TestRefineNeverServesStaleAfterRebuild is the invalidation regression: a
 // converged result is captured, then edge deletions — across epochs that
-// renumber the whole vertex space (RepairReplace renumbers on every repair)
-// — must never be answered with the pre-deletion values. Hand-crafted path
-// topology makes staleness detectable at specific vertices.
+// renumber the whole vertex space (a forced full rebuild before each batch
+// breaks the numbering lineage) — must never be answered with the
+// pre-deletion values. Hand-crafted path topology makes staleness
+// detectable at specific vertices.
 func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 	const n = 64
 	var edges []Edge
@@ -221,7 +222,7 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 8, Repair: RepairReplace, Engine: viewTestOpts,
+		Partitions: 8, Engine: viewTestOpts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,10 +243,14 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		{Time: 1, Src: 10, Dst: 11, Del: true},
 		{Time: 2, Src: 0, Dst: 20, Weight: 1},
 	}
+	d.inner.Rebuild()
 	if _, err := d.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	v2 := d.View()
+	if v2.renumEpoch == v1.renumEpoch {
+		t.Fatalf("epoch 2 kept renumbering epoch %d; the lineage break is not exercised", v2.renumEpoch)
+	}
 	depths, st, err := v2.RefineBFS(Ligra, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -260,18 +265,22 @@ func TestRefineNeverServesStaleAfterRebuild(t *testing.T) {
 		t.Fatalf("cut segment still reachable: depth[15] = %d", depths[15])
 	}
 
-	// Epoch 3: heavy skewed churn to force maintenance (a renumbering
-	// rebuild-cause epoch under RepairReplace), plus another cut at 25→26.
+	// Epoch 3: another forced lineage break, heavy skewed churn to force
+	// maintenance on top, plus another cut at 25→26.
 	churn := []EdgeUpdate{{Time: 3, Src: 25, Dst: 26, Del: true}}
 	tm := int64(4)
 	for i := 0; i < 300; i++ {
 		churn = append(churn, EdgeUpdate{Time: tm, Src: VertexID(40 + i%4), Dst: VertexID(i % n), Weight: 1})
 		tm++
 	}
+	d.inner.Rebuild()
 	if _, err := d.ApplyBatch(churn); err != nil {
 		t.Fatal(err)
 	}
 	v3 := d.View()
+	if v3.renumEpoch == v2.renumEpoch {
+		t.Fatalf("epoch 3 kept renumbering epoch %d; the lineage break is not exercised", v3.renumEpoch)
+	}
 	if st := d.Stats(); st.Repairs == 0 && st.FullRebuilds == 0 {
 		t.Fatal("churn epoch triggered no maintenance; rebuild-cause staleness not exercised")
 	}

@@ -96,10 +96,152 @@ func TestQuerySpansLinkToPublish(t *testing.T) {
 				t.Errorf("publish parents a %q span, want ingest", parent.Kind)
 			}
 		case "maintain":
-			if sp.Parent == 0 {
+			// The initial build is the lineage root and precedes every batch.
+			if sp.Parent == 0 && (sp.Name != "graph" || sp.Cause != "build" || sp.Epoch != 0) {
 				t.Errorf("maintain span %q (cause %q) has no batch parent", sp.Name, sp.Cause)
 			}
 		}
+	}
+}
+
+// TestSpanVocabulary pins the epoch-lifecycle span vocabulary (DESIGN.md
+// §6): one row per lifecycle site, each asserting that a span with the
+// site's name, kind and cause exists, carries the site's attribute keys,
+// and links to the expected parent — the batch span (kind ingest), the
+// publish span, or none for steps outside any batch.
+func TestSpanVocabulary(t *testing.T) {
+	// Stream scenario: churn with vertex arrivals, a small delta-log bound
+	// and one-slot headroom exercises batch, repair, resort, in-batch
+	// compact, grow and spill; queries on the newest view add the publish,
+	// view-build and refine spans; a forced rebuild and an explicit Compact
+	// file parentless maintenance spans.
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.05, 4000, 3, StreamOptions{GrowFrac: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDynamic(g, DynamicOptions{
+		Partitions: 16, AutoGrow: true, CompactEvery: 512, MinHeadroom: 1, HeadroomFrac: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyStream(t, d, updates, 256)
+	v := d.View()
+	if _, err := v.BFS(GraphGrind, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.RefineBFS(Ligra, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.inner.Rebuild()
+	d.Compact()
+	stream := d.Spans().Snapshot()
+
+	// Stall scenario: every in-edge lands on one vertex and P=2, so the
+	// repair finds neither an improving swap nor a rotation and the
+	// fallback rebuild names the stall.
+	sg, err := FromEdges(4, []Edge{{Src: 1, Dst: 0, Weight: 1}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := NewDynamic(sg, DynamicOptions{
+		Partitions: 2, RebuildThreshold: 1, VertexRebuildThreshold: 1 << 40,
+		DisableAdaptiveThreshold: true, DisableSegmentResort: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pile []EdgeUpdate
+	for i := 0; i < 10; i++ {
+		pile = append(pile, EdgeUpdate{Src: VertexID(1 + i%3), Dst: 0})
+	}
+	if _, err := sd.ApplyBatch(pile); err != nil {
+		t.Fatal(err)
+	}
+	stall := sd.Spans().Snapshot()
+
+	rebuildAttrs := []string{"placements", "delta_after", "vertex_after"}
+	compactAttrs := []string{"pending_ops", "base_edges"}
+	rows := []struct {
+		site              string
+		stall             bool // look in the stall scenario instead of the stream
+		name, kind, cause string
+		sys               string
+		attrs             []string
+		parent            string // parent span's kind; "" for no parent
+	}{
+		{site: "batch", name: "batch", kind: "ingest",
+			attrs: []string{"applied", "admitted", "repaired", "rebuilt", "compacted", "edge_imbalance", "vertex_imbalance"}},
+		{site: "repair", name: "repair", kind: "maintain", cause: "threshold-trip",
+			attrs:  []string{"delta_before", "delta_after", "vertex_before", "vertex_after", "threshold", "swaps", "rotations", "stalled"},
+			parent: "ingest"},
+		{site: "rebuild", stall: true, name: "rebuild", kind: "maintain", cause: "rotation-stall",
+			attrs: rebuildAttrs, parent: "ingest"},
+		{site: "grow", name: "grow", kind: "maintain", cause: "growth-spill",
+			attrs: []string{"admitted", "vertices", "spills", "headroom_free"}, parent: "ingest"},
+		{site: "spill", name: "spill", kind: "maintain", cause: "headroom-exhausted", parent: "ingest"},
+		{site: "resort", name: "resort", kind: "maintain", cause: "locality-decay",
+			attrs: []string{"partition", "moved"}, parent: "ingest"},
+		{site: "compact/in-batch", name: "compact", kind: "maintain", cause: "log-bound",
+			attrs: compactAttrs, parent: "ingest"},
+		{site: "compact/explicit", name: "compact", kind: "maintain", cause: "log-bound", attrs: compactAttrs},
+		{site: "rebuild/forced", name: "rebuild", kind: "maintain", cause: "forced", attrs: rebuildAttrs},
+		{site: "initial-build", name: "graph", kind: "maintain", cause: "build",
+			attrs: []string{"vertices", "edges", "partitions"}},
+		{site: "publish", name: "publish", kind: "publish",
+			attrs:  []string{"basis_epoch", "delta_backlog", "publish_lag_ns", "renum_epoch", "delta_net", "delta_moved", "delta_grown"},
+			parent: "ingest"},
+		{site: "graph", name: "graph", kind: "build", cause: "reorder-build",
+			attrs: []string{"edges_touched", "edges_reused"}, parent: "publish"},
+		{site: "engine", name: "engine", kind: "build", cause: "build", sys: "graphgrind", parent: "publish"},
+		{site: "refine", name: "query:refine-bfs", kind: "query", cause: RefineScratchSeed, sys: "ligra",
+			attrs: []string{"reset", "frontier", "seed_epoch"}, parent: "publish"},
+	}
+	for _, r := range rows {
+		t.Run(r.site, func(t *testing.T) {
+			spans := stream
+			if r.stall {
+				spans = stall
+			}
+			byID := make(map[obs.SpanID]obs.Span, len(spans))
+			for _, sp := range spans {
+				byID[sp.ID] = sp
+			}
+			parentKind := func(sp obs.Span) string {
+				if sp.Parent == 0 {
+					return ""
+				}
+				if p, ok := byID[sp.Parent]; ok {
+					return p.Kind
+				}
+				return "unretained"
+			}
+			var match *obs.Span
+			var named []string
+			for i := range spans {
+				sp := &spans[i]
+				if sp.Name != r.name {
+					continue
+				}
+				named = append(named, sp.Kind+"/"+sp.Cause+"<-"+parentKind(*sp))
+				if sp.Kind == r.kind && sp.Cause == r.cause && parentKind(*sp) == r.parent {
+					match = sp
+					break
+				}
+			}
+			if match == nil {
+				t.Fatalf("no %q span of kind %q, cause %q, parent %q; %q spans seen (kind/cause<-parent): %v",
+					r.name, r.kind, r.cause, r.parent, r.name, named)
+			}
+			if match.Sys != r.sys {
+				t.Errorf("sys = %q, want %q", match.Sys, r.sys)
+			}
+			for _, k := range r.attrs {
+				if _, ok := match.Attrs[k]; !ok {
+					t.Errorf("attr %q missing: %v", k, match.Attrs)
+				}
+			}
+		})
 	}
 }
 
