@@ -5,12 +5,14 @@
 // The design has four parts:
 //
 //   - Delta-log storage. The last compacted graph.Graph is kept immutable;
-//     inserted edges accumulate in an append-only log and deletions in a
-//     cancellation multiset keyed by (src,dst,weight). Snapshot materializes
-//     the surviving edge set into a fresh CSR/CSC graph on demand (cached per
-//     mutation epoch) and Compact promotes that snapshot to the new base.
-//     Freeze captures the same state immutably so concurrent readers can
-//     materialize a snapshot without touching the live structures.
+//     inserted edges and resolved deletions accumulate in two append-only
+//     logs (the writer also indexes them by (src,dst,weight) to resolve
+//     later deletions). Snapshot materializes the surviving edge set into a
+//     fresh CSR/CSC graph on demand (cached per mutation epoch) and Compact
+//     promotes that snapshot to the new base. Freeze captures the same
+//     state immutably in O(1) — the base plus the two logs' prefixes — so
+//     concurrent readers can materialize a snapshot without touching the
+//     live structures.
 //
 //   - Incremental balance accounting. Per-partition in-edge counts (the
 //     paper's w[p]) and vertex counts (u[p]) are updated in O(1) per edge
@@ -52,7 +54,8 @@
 //     destination endpoints plus the moved and admitted positions, builds
 //     the segment-local injection from the two epochs' orderings, and
 //     patches engine-side structures for unchanged partitions instead of
-//     rebuilding them (see the vebo.View API).
+//     rebuilding them (see the vebo.View API). The facade keeps the drained
+//     deltas as a chain and Folds a window of it only when a reader patches.
 //
 // See DESIGN.md §5 for how this subsystem fits the rest of the system.
 package dynamic
@@ -269,6 +272,14 @@ type wkey struct {
 	w int32
 }
 
+// delEntry is one resolved deletion in the delta log: it cancelled either a
+// base occurrence of class k (fromBase) or the most recent surviving pending
+// insertion of class k.
+type delEntry struct {
+	k        wkey
+	fromBase bool
+}
+
 // Graph is a mutable graph with an incrementally maintained VEBO ordering.
 // Mutation is single-writer: callers serialize ApplyBatch/Compact/Rebuild.
 // Concurrent readers use Freeze (or the facade's View API), or keep an old
@@ -278,10 +289,14 @@ type Graph struct {
 	n        int
 	weighted bool
 
-	// base is the last compacted immutable graph; pendingAdd and the
-	// cancellation counts below are the delta log on top of it.
+	// base is the last compacted immutable graph; pendingAdd and pendingDel
+	// are the delta log on top of it — append-only between compactions, so
+	// a Frozen capture is a pair of prefixes. pendingDel holds one entry per
+	// resolved deletion (see delEntry); the maps below index the same log
+	// for the writer's deletion resolution.
 	base       *graph.Graph
 	pendingAdd []graph.Edge
+	pendingDel []delEntry
 	// addAlive[k] holds the weights of the surviving pending insertions of
 	// pair k in insertion order (top = most recent). Its length is the
 	// surviving pending multiplicity of the pair.
@@ -537,6 +552,15 @@ func (d *Graph) normWeight(w int32) int32 {
 // batch — one Grow call covers every arrival, and the admissions stand
 // like any applied update even if a later update aborts the batch.
 func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
+	return d.AdmitAndApply(0, updates)
+}
+
+// AdmitAndApply is ApplyBatch preceded by the admission of admit new
+// zero-degree vertices (see Grow) inside the batch: the external-ID ingest
+// path interns its arrivals before the batch and admits them here, so their
+// grow and spill spans parent onto the batch span like AutoGrow's. The
+// admissions stand even if an update aborts the batch.
+func (d *Graph) AdmitAndApply(admit int, updates []graph.EdgeUpdate) (BatchResult, error) {
 	start := time.Now()
 	// The batch span is the causal root of this epoch: maintenance spans
 	// (repair, rebuild, grow, spill) file as its children, and the facade's
@@ -563,10 +587,11 @@ func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 				mx = int(u.Dst)
 			}
 		}
-		if k := mx + 1 - d.n; k > 0 {
-			d.Grow(k)
-			res.Admitted += k
-		}
+		admit = max(admit, mx+1-d.n)
+	}
+	if admit > 0 {
+		d.Grow(admit)
+		res.Admitted += admit
 	}
 	for i, u := range updates {
 		if int(u.Src) >= d.n || int(u.Dst) >= d.n {
@@ -976,6 +1001,7 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 		wSel = 0
 	}
 	var died int32
+	fromBase := false
 	if wSel == 0 {
 		if alive := d.addAlive[k]; len(alive) > 0 {
 			died = alive[len(alive)-1]
@@ -985,7 +1011,7 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 			if !ok {
 				return fmt.Errorf("delete of non-existent edge (%d,%d)", s, dst)
 			}
-			died = w
+			died, fromBase = w, true
 			d.cancelBase(k, w)
 		}
 	} else {
@@ -1001,12 +1027,13 @@ func (d *Graph) deleteEdge(s, dst graph.VertexID, wSel int32) error {
 			died = wSel
 			d.popAlive(k, i)
 		case d.baseMultiplicityW(s, dst, wSel)-d.delBase[wkey{k, wSel}] > 0:
-			died = wSel
+			died, fromBase = wSel, true
 			d.cancelBase(k, wSel)
 		default:
 			return fmt.Errorf("delete of non-existent edge (%d,%d) with weight %d", s, dst, wSel)
 		}
 	}
+	d.pendingDel = append(d.pendingDel, delEntry{wkey{k, died}, fromBase})
 	d.liveEdges--
 	d.degIn[dst]--
 	d.partEdges[d.assign[dst]]--
@@ -1027,7 +1054,8 @@ func (d *Graph) popAlive(k edgeKey, i int) {
 	} else {
 		d.addAlive[k] = alive
 	}
-	// The log entry itself is dropped lazily at snapshot/compaction.
+	// The insertion's log entry stays; the deletion log entry recorded by
+	// deleteEdge cancels it at snapshot/compaction.
 }
 
 // cancelBase records a deletion against a base occurrence of (k, w).
@@ -1483,11 +1511,11 @@ func argMin2(primary, secondary []int64) int {
 }
 
 // Frozen is an immutable capture of the live edge multiset at one epoch. It
-// shares the base graph and the append-only prefix of the pending log with
-// the live structure and copies only the (small) cancellation bookkeeping,
-// so freezing costs O(pending) regardless of graph size. A Frozen may be
-// materialized from any goroutine, concurrently with further ApplyBatch
-// calls on the source graph.
+// shares the base graph and the append-only prefixes of the insertion and
+// deletion logs with the live structure, so freezing is O(1) — two slice
+// headers, the base pointer and a few counts — regardless of graph size or
+// log length. A Frozen may be materialized from any goroutine, concurrently
+// with further ApplyBatch calls on the source graph.
 //
 //vebo:frozen
 type Frozen struct {
@@ -1496,36 +1524,21 @@ type Frozen struct {
 	epoch     int64
 	liveEdges int64
 	base      *graph.Graph
-	pending   []graph.Edge
-	needW     map[wkey]int64 // surviving pending insertions per (s,d,w)
-	delBase   map[wkey]int64 // base cancellations per (s,d,w)
+	pending   []graph.Edge // insertion log prefix
+	dels      []delEntry   // deletion log prefix
 }
 
 // Freeze captures the current live edge multiset.
 func (d *Graph) Freeze() Frozen {
-	f := Frozen{
+	return Frozen{
 		n:         d.n,
 		weighted:  d.weighted,
 		epoch:     d.epoch,
 		liveEdges: d.liveEdges,
 		base:      d.base,
 		pending:   d.pendingAdd[:len(d.pendingAdd):len(d.pendingAdd)],
+		dels:      d.pendingDel[:len(d.pendingDel):len(d.pendingDel)],
 	}
-	if len(d.addAlive) > 0 {
-		f.needW = make(map[wkey]int64, len(d.addAlive))
-		for k, alive := range d.addAlive {
-			for _, w := range alive {
-				f.needW[wkey{k, w}]++
-			}
-		}
-	}
-	if len(d.delBase) > 0 {
-		f.delBase = make(map[wkey]int64, len(d.delBase))
-		for k, c := range d.delBase {
-			f.delBase[k] = c
-		}
-	}
-	return f
 }
 
 // Epoch returns the mutation epoch the capture was taken at.
@@ -1543,29 +1556,45 @@ func (f Frozen) NumEdges() int64 { return f.liveEdges }
 // insertions in arrival order.
 func (f Frozen) Materialize() *graph.Graph {
 	edges := make([]graph.Edge, 0, f.liveEdges)
-	var dels map[wkey]int64
-	if len(f.delBase) > 0 {
-		dels = make(map[wkey]int64, len(f.delBase))
-		for k, c := range f.delBase {
-			dels[k] = c
+	// Replay the deletion log into per-class cancellation counts, of base
+	// occurrences and of log insertions.
+	var baseDel, logDel map[wkey]int64
+	if len(f.dels) > 0 {
+		baseDel, logDel = make(map[wkey]int64), make(map[wkey]int64)
+	}
+	for _, c := range f.dels {
+		if c.fromBase {
+			baseDel[c.k]++
+		} else {
+			logDel[c.k]++
 		}
 	}
 	for _, e := range f.base.Edges() {
 		k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-		if dels[k] > 0 {
-			dels[k]--
+		if baseDel[k] > 0 {
+			baseDel[k]--
 			continue
 		}
 		edges = append(edges, e)
 	}
-	if len(f.pending) > 0 {
-		emitted := make(map[wkey]int64, len(f.needW))
-		for _, e := range f.pending {
+	// Same-class log insertions are identical edges, so only the per-class
+	// count of cancellations matters: walking the log backwards, each
+	// class's latest insertions absorb them, and the survivors keep their
+	// arrival order.
+	var dead []bool
+	if len(logDel) > 0 {
+		dead = make([]bool, len(f.pending))
+		for i := len(f.pending) - 1; i >= 0; i-- {
+			e := f.pending[i]
 			k := wkey{keyOf(e.Src, e.Dst), e.Weight}
-			if emitted[k] >= f.needW[k] {
-				continue // cancelled by a later deletion
+			if logDel[k] > 0 {
+				logDel[k]--
+				dead[i] = true
 			}
-			emitted[k]++
+		}
+	}
+	for i, e := range f.pending {
+		if dead == nil || !dead[i] {
 			edges = append(edges, e)
 		}
 	}
@@ -1600,7 +1629,7 @@ func (d *Graph) Compact() {
 	cstart := time.Now()
 	pending := d.PendingOps()
 	d.base = d.Snapshot()
-	d.pendingAdd = nil
+	d.pendingAdd, d.pendingDel = nil, nil
 	d.addAlive = make(map[edgeKey][]int32)
 	d.delBase = make(map[wkey]int64)
 	d.delPair = make(map[edgeKey]int64)
@@ -1707,10 +1736,10 @@ type ViewDelta struct {
 	// Moved holds the original-ID vertices repositioned by
 	// placement-preserving swap repairs since the last drain: their
 	// partition and new ID changed, but the partition segment boundaries
-	// did not, and every vertex outside the set kept its exact new ID. The
-	// set may over-approximate after window arithmetic (an entry whose
-	// endpoint positions turn out equal is harmless — its segment
-	// permutation entry is the identity).
+	// did not, and every vertex outside the set kept its exact new ID. A
+	// Fold over several windows unions the sets, which may over-approximate
+	// (an entry whose endpoint positions turn out equal is harmless — its
+	// segment permutation entry is the identity).
 	Moved map[graph.VertexID]struct{}
 	// PlacementChanged reports whether the whole numbering was invalidated
 	// since the last drain (full rebuild or headroom spill); swap repairs
@@ -1726,8 +1755,11 @@ type ViewDelta struct {
 	// contiguous range. A spill (headroom exhaustion) renumbers instead and
 	// sets PlacementChanged.
 	Grown []int64
-	// Updates counts the net edge changes covered by this delta.
-	Updates int64
+}
+
+// Empty reports whether the delta records no change at all.
+func (vd ViewDelta) Empty() bool {
+	return len(vd.Net) == 0 && len(vd.Moved) == 0 && vd.Grown == nil && !vd.PlacementChanged
 }
 
 // GrownTotal returns the number of vertices admitted in the delta's window.
@@ -1739,9 +1771,9 @@ func (vd ViewDelta) GrownTotal() int64 {
 	return t
 }
 
-// addGrown adds sign×b into a elementwise, allocating on first use; a nil
+// addGrown adds b into a elementwise, allocating on first use; a nil
 // result stands for the zero vector.
-func addGrown(a, b []int64, sign int64) []int64 {
+func addGrown(a, b []int64) []int64 {
 	if len(b) == 0 {
 		return a
 	}
@@ -1749,13 +1781,14 @@ func addGrown(a, b []int64, sign int64) []int64 {
 		a = make([]int64, len(b))
 	}
 	for p, c := range b {
-		a[p] += sign * c
+		a[p] += c
 	}
 	return a
 }
 
 // DrainViewDelta returns the accumulated delta and resets the accumulators.
 // Single-writer: call only from the goroutine that applies batches.
+// An empty window drains as the zero ViewDelta and keeps the accumulators.
 func (d *Graph) DrainViewDelta() ViewDelta {
 	vd := ViewDelta{
 		Net:              d.viewNet,
@@ -1763,12 +1796,8 @@ func (d *Graph) DrainViewDelta() ViewDelta {
 		PlacementChanged: d.viewPlace,
 		Grown:            d.viewGrow,
 	}
-	for _, c := range vd.Net {
-		if c > 0 {
-			vd.Updates += c
-		} else {
-			vd.Updates -= c
-		}
+	if vd.Empty() {
+		return ViewDelta{}
 	}
 	d.viewNet = make(map[graph.Edge]int64)
 	d.viewMoved = make(map[graph.VertexID]struct{})
@@ -1777,76 +1806,33 @@ func (d *Graph) DrainViewDelta() ViewDelta {
 	return vd
 }
 
-// mergeMoved unions two moved sets; a nil result stands for the empty set.
-func mergeMoved(a, b map[graph.VertexID]struct{}) map[graph.VertexID]struct{} {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make(map[graph.VertexID]struct{}, len(a)+len(b))
-	for v := range a {
-		out[v] = struct{}{}
-	}
-	for v := range b {
-		out[v] = struct{}{}
-	}
-	return out
-}
-
-// Merge combines vd (earlier) with later into a fresh delta covering both
-// windows. Moved is the union even when the combined window contains a
-// renumbering (PlacementChanged): a later re-anchor onto a view published
-// after the rebuild clears PlacementChanged again, and the swaps that
-// landed after the rebuild must still be there for it to trim against —
-// dropping them would leave the delta claiming an identity permutation
-// across a real move. Neither input is mutated.
-func (vd ViewDelta) Merge(later ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:              make(map[graph.Edge]int64, len(vd.Net)+len(later.Net)),
-		Moved:            mergeMoved(vd.Moved, later.Moved),
-		PlacementChanged: vd.PlacementChanged || later.PlacementChanged,
-		Grown:            addGrown(addGrown(nil, vd.Grown, 1), later.Grown, 1),
-		Updates:          vd.Updates + later.Updates,
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range later.Net {
-		out.Net[e] += c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
+// Fold sums a chain of consecutive drained deltas into the one delta
+// covering their combined window: Net multiplicities and Grown vectors add
+// (entries that cancel across windows drop out, so Net is exact), Moved is
+// the union of the windows' sets (a superset of the vertices whose position
+// differs across the whole window — the caller trims it against the two
+// orderings), and PlacementChanged is set when any window renumbered. The
+// result owns fresh maps; no input is mutated. Cost is O(total entries).
+func Fold(chain []ViewDelta) ViewDelta {
+	var out ViewDelta
+	for _, vd := range chain {
+		if len(vd.Net) > 0 && out.Net == nil {
+			out.Net = make(map[graph.Edge]int64, len(vd.Net))
 		}
-	}
-	return out
-}
-
-// Subtract returns the delta covering this delta's window minus a prefix of
-// it: Net is the exact multiset difference; Moved is the union of both
-// windows' sets (a safe over-approximation — the caller can trim entries
-// whose endpoint positions agree); PlacementChanged is left for the caller
-// to set from renumbering epochs. Neither input is mutated.
-func (vd ViewDelta) Subtract(prefix ViewDelta) ViewDelta {
-	out := ViewDelta{
-		Net:   make(map[graph.Edge]int64, len(vd.Net)),
-		Moved: mergeMoved(vd.Moved, prefix.Moved),
-		// Admissions are cumulative and prefix-closed: the prefix's
-		// admissions are a per-partition prefix of this window's.
-		Grown: addGrown(addGrown(nil, vd.Grown, 1), prefix.Grown, -1),
-	}
-	for e, c := range vd.Net {
-		out.Net[e] = c
-	}
-	for e, c := range prefix.Net {
-		out.Net[e] -= c
-		if out.Net[e] == 0 {
-			delete(out.Net, e)
+		for e, c := range vd.Net {
+			out.Net[e] += c
+			if out.Net[e] == 0 {
+				delete(out.Net, e)
+			}
 		}
-	}
-	for _, c := range out.Net {
-		if c > 0 {
-			out.Updates += c
-		} else {
-			out.Updates -= c
+		if len(vd.Moved) > 0 && out.Moved == nil {
+			out.Moved = make(map[graph.VertexID]struct{}, len(vd.Moved))
 		}
+		for w := range vd.Moved {
+			out.Moved[w] = struct{}{}
+		}
+		out.Grown = addGrown(out.Grown, vd.Grown)
+		out.PlacementChanged = out.PlacementChanged || vd.PlacementChanged
 	}
 	return out
 }

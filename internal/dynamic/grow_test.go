@@ -211,7 +211,10 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 }
 
 // TestGrowViewDeltaVector checks the drained growth vector: per-partition
-// counts sum to the admissions of the window and Merge/Subtract compose it.
+// counts sum to the admissions of the window, and folding a chain of drained
+// windows composes it — the whole chain sums both windows partition by
+// partition, and the suffix after the first window (the re-anchoring
+// operation) is exactly the later window's vector.
 func TestGrowViewDeltaVector(t *testing.T) {
 	g, err := gen.ErdosRenyi(120, 700, 2)
 	if err != nil {
@@ -232,17 +235,23 @@ func TestGrowViewDeltaVector(t *testing.T) {
 	if second.GrownTotal() != 2 {
 		t.Fatalf("GrownTotal=%d, want 2", second.GrownTotal())
 	}
-	merged := first.Merge(second)
+	chain := []ViewDelta{first, second}
+	merged := Fold(chain)
 	if merged.GrownTotal() != 5 {
-		t.Fatalf("merged GrownTotal=%d, want 5", merged.GrownTotal())
+		t.Fatalf("folded GrownTotal=%d, want 5", merged.GrownTotal())
 	}
-	back := merged.Subtract(first)
+	for p, c := range merged.Grown {
+		if c != first.Grown[p]+second.Grown[p] {
+			t.Fatalf("partition %d: folded growth %d, want %d+%d", p, c, first.Grown[p], second.Grown[p])
+		}
+	}
+	back := Fold(chain[1:])
 	if back.GrownTotal() != 2 {
-		t.Fatalf("subtracted GrownTotal=%d, want 2", back.GrownTotal())
+		t.Fatalf("suffix GrownTotal=%d, want 2", back.GrownTotal())
 	}
 	for p, c := range back.Grown {
 		if c != second.Grown[p] {
-			t.Fatalf("partition %d: subtracted growth %d, want %d", p, c, second.Grown[p])
+			t.Fatalf("partition %d: suffix growth %d, want %d", p, c, second.Grown[p])
 		}
 	}
 	if d.DrainViewDelta().Grown != nil {

@@ -31,7 +31,7 @@ import (
 // internal (original) vertex IDs are append-only — so a basis result array
 // indexed by original IDs is prefix-valid at any later epoch, even across
 // full renumberings — and View.delta exactly covers the basis→view window
-// (the publish-side re-anchoring arithmetic keeps the edge multiset exact).
+// (it folds exactly the per-batch deltas drained since the basis published).
 
 // RefineStats paths. A query reports which route produced its result.
 const (
@@ -112,24 +112,24 @@ func (c *refineCache) put(k refineKey, r *Refined) {
 	c.m[k] = r
 }
 
-// basisCapture returns the basis view's capture for key, or nil when there
-// is no basis (scratch epochs, reuse disabled, delta outgrew the anchor) or
-// the capture cannot seed this view. The epoch and length guards make
-// staleness structurally impossible: a capture seeds refinement only when it
-// is pinned to the exact anchor point v.delta measures from — any
+// basisCapture returns the basis view and its capture for key, or nils when
+// there is no basis (scratch epochs, reuse disabled, chain outgrew the
+// anchor) or the capture cannot seed this view. The epoch and length guards
+// make staleness structurally impossible: a capture seeds refinement only
+// when it is pinned to the exact anchor point v.delta measures from — any
 // rebuild-cause epoch in between published a fresh view whose delta still
 // spans basis→view, so the refinement replays it rather than serving the
 // old values.
-func (v *View) basisCapture(key refineKey) *Refined {
+func (v *View) basisCapture(key refineKey) (*View, *Refined) {
 	b := v.basis.Load()
 	if b == nil {
-		return nil
+		return nil, nil
 	}
 	r := b.ref.get(key)
 	if r == nil || r.epoch != b.epoch || r.n != b.nverts {
-		return nil
+		return nil, nil
 	}
-	return r
+	return b, r
 }
 
 // Fallback gating: refinement resets at most n/refineConeDenom vertices
@@ -398,11 +398,11 @@ func (v *View) refineMonotone(sys System, alg string, root VertexID, spec refine
 		v.work.observeRefine(v, alg, sys, start, st)
 		return vals, st, nil
 	}
-	cap_ := v.basisCapture(key)
+	b, cap_ := v.basisCapture(key)
 	if cap_ == nil {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.delta)
+	plan := dynamic.DeriveRefinePlan(v.delta(b))
 	if plan.Empty() {
 		r := &Refined{alg: alg, root: root, epoch: v.epoch, n: v.nverts, vals: cap_.vals}
 		v.ref.put(key, r)
@@ -552,11 +552,11 @@ func (v *View) RefinePageRank(sys System, eps float64) ([]float64, RefineStats, 
 		v.work.observeRefine(v, "pagerank", sys, start, st)
 		return ranks, st, nil
 	}
-	cap_ := v.basisCapture(key)
+	b, cap_ := v.basisCapture(key)
 	if cap_ == nil || cap_.eps > eps {
 		return cold(RefineScratchSeed)
 	}
-	plan := dynamic.DeriveRefinePlan(v.delta)
+	plan := dynamic.DeriveRefinePlan(v.delta(b))
 	if plan.Empty() {
 		r := &Refined{alg: "pagerank", epoch: v.epoch, n: v.nverts, ranks: cap_.ranks, eps: cap_.eps}
 		v.ref.put(key, r)

@@ -160,11 +160,23 @@ func TestSpanVocabulary(t *testing.T) {
 	}
 	stall := sd.Spans().Snapshot()
 
+	// Ingest scenario: external-ID ingest interns unseen vertices, and the
+	// batch admits them before its update loop, so the first-growth spill
+	// and the grow span parent onto the batch span.
+	id, err := NewDynamic(sg, DynamicOptions{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := id.IngestBatch([]ExternalEdgeUpdate{{Src: 100, Dst: 200}, {Src: 200, Dst: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	scenarios := map[string][]obs.Span{"": stream, "stall": stall, "ingest": id.Spans().Snapshot()}
+
 	rebuildAttrs := []string{"placements", "delta_after", "vertex_after"}
 	compactAttrs := []string{"pending_ops", "base_edges"}
 	rows := []struct {
 		site              string
-		stall             bool // look in the stall scenario instead of the stream
+		scenario          string // "stall"/"ingest" instead of the stream
 		name, kind, cause string
 		sys               string
 		attrs             []string
@@ -175,11 +187,14 @@ func TestSpanVocabulary(t *testing.T) {
 		{site: "repair", name: "repair", kind: "maintain", cause: "threshold-trip",
 			attrs:  []string{"delta_before", "delta_after", "vertex_before", "vertex_after", "threshold", "swaps", "rotations", "stalled"},
 			parent: "ingest"},
-		{site: "rebuild", stall: true, name: "rebuild", kind: "maintain", cause: "rotation-stall",
+		{site: "rebuild", scenario: "stall", name: "rebuild", kind: "maintain", cause: "rotation-stall",
 			attrs: rebuildAttrs, parent: "ingest"},
 		{site: "grow", name: "grow", kind: "maintain", cause: "growth-spill",
 			attrs: []string{"admitted", "vertices", "spills", "headroom_free"}, parent: "ingest"},
 		{site: "spill", name: "spill", kind: "maintain", cause: "headroom-exhausted", parent: "ingest"},
+		{site: "grow/ingest", scenario: "ingest", name: "grow", kind: "maintain", cause: "growth-headroom",
+			attrs: []string{"admitted", "vertices", "spills", "headroom_free"}, parent: "ingest"},
+		{site: "spill/ingest", scenario: "ingest", name: "spill", kind: "maintain", cause: "first-growth", parent: "ingest"},
 		{site: "resort", name: "resort", kind: "maintain", cause: "locality-decay",
 			attrs: []string{"partition", "moved"}, parent: "ingest"},
 		{site: "compact/in-batch", name: "compact", kind: "maintain", cause: "log-bound",
@@ -199,10 +214,7 @@ func TestSpanVocabulary(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.site, func(t *testing.T) {
-			spans := stream
-			if r.stall {
-				spans = stall
-			}
+			spans := scenarios[r.scenario]
 			byID := make(map[obs.SpanID]obs.Span, len(spans))
 			for _, sp := range spans {
 				byID[sp.ID] = sp

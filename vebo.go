@@ -307,15 +307,17 @@ type Dynamic struct {
 	spans   *obs.Spans
 	cur     atomic.Pointer[View]
 
-	// Writer-side basis tracking (see publish in view.go): the delta
-	// accumulated since the current anchor point, the lineage it belongs
-	// to, and the materialized view at that point, if any. latestMat is the
-	// reader-to-writer channel: the newest view whose relabeled graph was
-	// built.
-	anchorID    int64
-	sinceAnchor dynamic.ViewDelta
-	basisView   *View
-	latestMat   atomic.Pointer[View]
+	// Writer-side basis tracking (see publish in view.go): the per-batch
+	// deltas drained since the current anchor point (append-only; every view
+	// captures a prefix), their running entry counts, the lineage they
+	// belong to, and the materialized view at that point, if any. latestMat
+	// is the reader-to-writer channel: the newest view whose relabeled graph
+	// was built.
+	anchorID  int64
+	chain     []dynamic.ViewDelta
+	chainSize chainSize
+	basisView *View
+	latestMat atomic.Pointer[View]
 
 	// alloc maps external vertex IDs onto the dense internal space; nil
 	// until the first IngestBatch call (dense-ID callers never pay for it).
@@ -464,13 +466,9 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 		ups = append(ups, EdgeUpdate{Time: u.Time, Src: src, Dst: dst, Weight: u.Weight, Del: u.Del})
 	}
 	// Admit every interned vertex even when a later update failed, keeping
-	// the allocator and the graph's vertex space in lockstep.
-	admitted := alloc.Len() - d.inner.NumVertices()
-	if admitted > 0 {
-		d.inner.Grow(admitted)
-	}
-	res, err := d.inner.ApplyBatch(ups)
-	res.Admitted += admitted
+	// the allocator and the graph's vertex space in lockstep. The inner
+	// batch admits them inside its batch span.
+	res, err := d.inner.AdmitAndApply(alloc.Len()-d.inner.NumVertices(), ups)
 	d.publish(received)
 	if err == nil {
 		err = ingestErr

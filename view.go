@@ -51,13 +51,17 @@ type View struct {
 	ord        *core.Result // shared immutable Perm/PartitionOf, counts frozen at publish
 	frozen     dynamic.Frozen
 	opts       EngineOptions
-	delta      dynamic.ViewDelta    // changes since the basis (== the anchor point)
+	chain      []dynamic.ViewDelta  // per-batch deltas since the anchor point (== the basis), a capped prefix of the writer's chain
+	chainSize  chainSize            // entry counts of chain
 	basis      atomic.Pointer[View] // materialized view at the anchor point; nil forces scratch builds
 	d          *Dynamic
 	work       *viewWork
 	ref        *refineCache    // lineage-keyed Refined captures (refine_view.go)
 	published  time.Time       // publication instant — the base of the staleness clock
 	pubSpan    obs.SpanContext // the publish span queries child-link their spans to
+
+	deltaOnce sync.Once
+	folded    dynamic.ViewDelta // chain folded into the net basis→view delta
 
 	snapOnce sync.Once
 	snapP    atomic.Pointer[Graph]
@@ -250,23 +254,26 @@ func (d *Dynamic) View() *View {
 // ViewWork returns the accumulated engine-construction work counters.
 func (d *Dynamic) ViewWork() ViewWork { return d.work.snapshot() }
 
-// publish captures the post-batch state as a fresh View and swaps it in.
-// Called only from the ingest (writer) side.
-//
-// Basis tracking: the writer accumulates the delta since an anchor point —
-// the publish instant of basisView, the newest view known to have
-// materialized its relabeled graph. Readers register views they materialize
-// in latestMat; at each publish the writer re-anchors onto the newest one by
-// subtracting that view's own anchor-relative delta (exact for the edge
-// multiset, superset for dirty partitions). This keeps patching available no
-// matter how many epochs pass between queries, while a reader that never
-// comes back costs only the bounded sinceAnchor map — which resets, dropping
-// the basis, if it ever outgrows the delta-log compaction bound.
+// chainSize counts what a delta chain retains: Net and Moved entries and
+// admissions, summed over its per-batch deltas without netting — an upper
+// bound on the net window the chain folds to. The writer keeps it as a
+// running count, so the backlog gauge and the give-up bound cost O(1) per
+// publish.
+type chainSize struct{ net, moved, grown int64 }
+
+func (c chainSize) add(vd dynamic.ViewDelta) chainSize {
+	return chainSize{c.net + int64(len(vd.Net)), c.moved + int64(len(vd.Moved)), c.grown + vd.GrownTotal()}
+}
+
+func (c chainSize) sub(o chainSize) chainSize {
+	return chainSize{c.net - o.net, c.moved - o.moved, c.grown - o.grown}
+}
+
 // buildView assembles the next epoch's View. It is the type's one builder
 // (frozenwrite enforces that): the returned value is fully initialized
 // before publish stores it, and nothing mutates it afterwards outside the
 // once-guarded lazy caches.
-func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
+func (d *Dynamic) buildView(pub obs.SpanContext) *View {
 	v := &View{
 		epoch:      d.inner.Epoch(),
 		renumEpoch: d.inner.RenumEpoch(),
@@ -276,7 +283,8 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 		ord:        d.inner.Ordering(),
 		frozen:     d.inner.Freeze(),
 		opts:       d.engOpts,
-		delta:      d.sinceAnchor,
+		chain:      d.chain[:len(d.chain):len(d.chain)],
+		chainSize:  d.chainSize,
 		d:          d,
 		work:       d.work,
 		ref:        newRefineCache(),
@@ -286,78 +294,105 @@ func (d *Dynamic) buildView(basis *View, pub obs.SpanContext) *View {
 	if alloc := d.alloc.Load(); alloc != nil {
 		v.exts = alloc.Externals(v.nverts)
 	}
-	v.basis.Store(basis)
+	v.basis.Store(d.basisView)
 	return v
 }
 
-// publish's received argument is the wall-clock instant the triggering
-// batch was handed to the facade (ApplyBatch/IngestBatch entry); the gap
-// to view publication is the vebo_publish_lag_ns sample — the freshness
-// cost one batch pays end to end.
+// publish captures the post-batch state as a fresh View and swaps it in.
+// Called only from the ingest (writer) side; its cost is O(batch + P),
+// independent of how much history the views carry.
+//
+// Basis tracking: the writer keeps the chain of per-batch deltas drained
+// since an anchor point — the publish instant of basisView, the newest view
+// known to have materialized a patchable artifact. Each publish appends one
+// entry, and each view captures the chain as a capped slice header, so a
+// view's chain is always a prefix of the writer's within one anchor lineage
+// (anchorID). Readers register views they materialize in latestMat; at
+// each publish the writer re-anchors onto the newest one by keeping only
+// the chain suffix after that view's own prefix — exactly the m→now
+// window. The net delta a patching reader needs is folded from the chain
+// lazily, once per view (View.delta). This keeps patching available no
+// matter how many epochs pass between queries, while a reader that never
+// comes back costs only the retained chain — which resets, dropping the
+// basis, once its entry count outgrows m/4 + 8192.
+//
+// received is the wall-clock instant the triggering batch was handed to
+// the facade (ApplyBatch/IngestBatch entry); the gap to view publication is
+// the vebo_publish_lag_ns sample — the freshness cost one batch pays end
+// to end.
 func (d *Dynamic) publish(received time.Time) {
 	// The publish span parents onto the batch span that produced this
 	// epoch, extending the causal chain batch → maintenance → publish;
 	// queries against the view then child-link to the publish span.
 	psp := d.spans.Start("publish", "publish", d.inner.Epoch(), d.inner.LastBatchSpan())
 	drained := d.inner.DrainViewDelta()
-	var basis *View
 	if d.reuse {
-		d.sinceAnchor = d.sinceAnchor.Merge(drained)
+		if !drained.Empty() {
+			// Empty windows stay out of the chain, so its length is bounded
+			// by the entry count the give-up check below caps.
+			d.chain = append(d.chain, drained)
+			d.chainSize = d.chainSize.add(drained)
+		}
 		if m := d.latestMat.Load(); m != nil && m.anchorID == d.anchorID &&
 			(d.basisView == nil || m.epoch > d.basisView.epoch) {
-			d.sinceAnchor = d.sinceAnchor.Subtract(m.delta)
-			d.sinceAnchor.PlacementChanged = d.inner.RenumEpoch() != m.renumEpoch
-			if d.sinceAnchor.PlacementChanged {
-				d.sinceAnchor.Moved = nil
-			} else if len(d.sinceAnchor.Moved) > 0 {
-				// Subtract over-approximates Moved with the union of both
-				// windows; the numbering lineage is intact, so trim it to
-				// the vertices whose position actually differs from m's.
-				// Vertices admitted after m published have no position in
-				// m's space; growth accounting covers them, not Moved.
-				cur := d.inner.Ordering().Perm
-				base := m.ord.Perm
-				for w := range d.sinceAnchor.Moved {
-					if int(w) >= len(base) {
-						delete(d.sinceAnchor.Moved, w)
-					} else if cur[w] == base[w] {
-						delete(d.sinceAnchor.Moved, w)
-					}
-				}
-			}
+			d.chain = d.chain[len(m.chain):]
+			d.chainSize = d.chainSize.sub(m.chainSize)
 			d.anchorID++
 			d.basisView = m
 			// m patches from its own basis only while building artifacts it
-			// hasn't built yet; dropping the link bounds the retained chain.
+			// hasn't built yet; dropping the link stops views from holding
+			// ever-longer chains of predecessor views alive.
 			m.basis.Store(nil)
 		}
-		if int64(len(d.sinceAnchor.Net))+int64(len(d.sinceAnchor.Moved)) > d.inner.NumEdges()/4+8192 {
+		if d.chainSize.net+d.chainSize.moved > d.inner.NumEdges()/4+8192 {
 			// No reader has materialized a view for a long stretch; give up
-			// on the stale basis rather than hold an ever-growing delta.
+			// on the stale basis rather than retain an ever-growing chain.
 			d.anchorID++
 			d.basisView = nil
-			d.sinceAnchor = dynamic.ViewDelta{}
-		}
-		if d.basisView != nil &&
-			(d.basisView.rgp.Load() != nil || d.basisView.snapP.Load() != nil) {
-			basis = d.basisView
+			d.chain, d.chainSize = nil, chainSize{}
 		}
 	}
-	v := d.buildView(basis, psp.Context())
+	v := d.buildView(psp.Context())
 	d.work.epochs.Add(1)
 	d.cur.Store(v)
 	lag := time.Since(received)
 	d.work.publishLag.Observe(int64(lag))
-	backlog := int64(len(v.delta.Net)) + int64(len(v.delta.Moved)) + v.delta.GrownTotal()
+	c := v.chainSize
+	backlog := c.net + c.moved + c.grown
 	d.work.backlog.Set(backlog)
 	basisEpoch := int64(-1)
-	if basis != nil {
-		basisEpoch = basis.epoch
+	if d.basisView != nil {
+		basisEpoch = d.basisView.epoch
 	}
 	psp.Attr("basis_epoch", basisEpoch).Attr("delta_backlog", backlog).
 		Attr("publish_lag_ns", int64(lag)).Attr("renum_epoch", v.renumEpoch).
-		Attr("delta_net", int64(len(v.delta.Net))).Attr("delta_moved", int64(len(v.delta.Moved))).
-		Attr("delta_grown", v.delta.GrownTotal()).End()
+		Attr("delta_net", c.net).Attr("delta_moved", c.moved).
+		Attr("delta_grown", c.grown).End()
+}
+
+// delta returns the net basis→view delta, folded from the view's chain on
+// first use — only patching readers pay for it, once per view. b is the
+// view's basis as the caller loaded it (non-nil; the link only ever drops
+// to nil, so every caller sees the same basis). PlacementChanged reports a
+// renumbering between the two; while the lineage is intact, the union of
+// the chain's Moved sets is trimmed to the vertices whose position actually
+// differs from b's. Vertices admitted after b published have no position
+// in b's space; growth accounting covers them, not Moved.
+func (v *View) delta(b *View) dynamic.ViewDelta {
+	v.deltaOnce.Do(func() {
+		vd := dynamic.Fold(v.chain)
+		vd.PlacementChanged = v.renumEpoch != b.renumEpoch
+		if vd.PlacementChanged {
+			vd.Moved = nil
+		}
+		for w := range vd.Moved {
+			if int(w) >= len(b.ord.Perm) || b.ord.Perm[w] == v.ord.Perm[w] {
+				delete(vd.Moved, w)
+			}
+		}
+		v.folded = vd
+	})
+	return v.folded
 }
 
 // registerMaterialized below and the basis tracking in publish treat a view
@@ -452,7 +487,7 @@ func (v *View) Snapshot() *Graph {
 		start := time.Now()
 		if b := v.basis.Load(); b != nil {
 			if bs := b.snapP.Load(); bs != nil {
-				adds, dels := v.delta.AddsDels()
+				adds, dels := v.delta(b).AddsDels()
 				if s, st, err := bs.PatchEdgesN(v.nverts, adds, dels); err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
@@ -488,7 +523,7 @@ func (v *View) Snapshot() *Graph {
 // numbering lineage is intact (!delta.PlacementChanged).
 func (v *View) segPerm(b *View) []VertexID {
 	v.segOnce.Do(func() {
-		if len(v.delta.Moved) == 0 {
+		if len(v.delta(b).Moved) == 0 {
 			return
 		}
 		// Internal IDs are append-only, so the basis's internal space is
@@ -540,9 +575,9 @@ func (v *View) segPerm(b *View) []VertexID {
 func (v *View) Reordered() (*Graph, error) {
 	v.rgOnce.Do(func() {
 		start := time.Now()
-		if b := v.basis.Load(); b != nil && !v.delta.PlacementChanged {
+		if b := v.basis.Load(); b != nil && v.renumEpoch == b.renumEpoch {
 			if brg := b.rgp.Load(); brg != nil {
-				adds, dels := v.delta.AddsDels()
+				adds, dels := v.delta(b).AddsDels()
 				perm := v.ord.Perm
 				mapEndpoints(adds, perm)
 				mapEndpoints(dels, perm)
@@ -620,22 +655,23 @@ func rangePredicate(ids []VertexID) func(lo, hi VertexID) bool {
 // position set — a swap, rotation or re-sort always parks an incoming
 // vertex where an outgoing one sat — so flagging the current positions
 // covers every partition whose membership changed.)
-func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
+func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 	v.dirtyOnce.Do(func() {
+		vd := v.delta(b)
 		perm := v.ord.Perm
-		grown := int(v.delta.GrownTotal())
-		seen := make(map[VertexID]struct{}, len(v.delta.Net)+len(v.delta.Moved)+grown)
-		dirty := make([]VertexID, 0, len(v.delta.Net)+len(v.delta.Moved)+grown)
+		grown := int(vd.GrownTotal())
+		seen := make(map[VertexID]struct{}, len(vd.Net)+len(vd.Moved)+grown)
+		dirty := make([]VertexID, 0, len(vd.Net)+len(vd.Moved)+grown)
 		add := func(id VertexID) {
 			if _, ok := seen[id]; !ok {
 				seen[id] = struct{}{}
 				dirty = append(dirty, id)
 			}
 		}
-		for e := range v.delta.Net {
+		for e := range vd.Net {
 			add(perm[e.Dst])
 		}
-		for w := range v.delta.Moved {
+		for w := range vd.Moved {
 			add(perm[w])
 		}
 		// Admissions are append-only in the internal space, so the vertices
@@ -659,15 +695,16 @@ func (v *View) dirtyPredicate() func(lo, hi VertexID) bool {
 // Growth does not enter: admissions fill reserved headroom slots, so no
 // pre-existing source ID ever shifts — a grown epoch without repairs leaves
 // this set empty and every clean partition's COO is shared outright.
-func (v *View) srcMovedPredicate(rg *Graph) func(lo, hi VertexID) bool {
+func (v *View) srcMovedPredicate(b *View, rg *Graph) func(lo, hi VertexID) bool {
 	v.srcOnce.Do(func() {
-		if len(v.delta.Moved) == 0 {
+		moved := v.delta(b).Moved
+		if len(moved) == 0 {
 			return
 		}
 		perm := v.ord.Perm
 		seen := make(map[VertexID]struct{})
 		var list []VertexID
-		for w := range v.delta.Moved {
+		for w := range moved {
 			for _, t := range rg.OutNeighbors(perm[w]) {
 				if _, ok := seen[t]; !ok {
 					seen[t] = struct{}{}
@@ -727,7 +764,7 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 	// Ligra keeps no ID-bearing partitioned state, so its rebind survives
 	// even full renumberings; the partitioned engines patch only while the
 	// numbering lineage is intact (segment-local moves at most).
-	if b := v.basis.Load(); b != nil && (sys == Ligra || !v.delta.PlacementChanged) {
+	if b := v.basis.Load(); b != nil && (sys == Ligra || v.renumEpoch == b.renumEpoch) {
 		if be := b.eng[sys].peek(); be != nil {
 			if e, ok := v.patchEngine(sys, b, be, rg); ok {
 				cause := "patch"
@@ -790,7 +827,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate())
+		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b))
 		if err != nil {
 			return nil, false
 		}
@@ -801,7 +838,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(), v.srcMovedPredicate(rg))
+		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
 		if err != nil {
 			return nil, false
 		}
