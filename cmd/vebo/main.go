@@ -79,6 +79,9 @@ func runStream(args []string) error {
 	if *parts < 1 {
 		return fmt.Errorf("stream: -p must be at least 1, got %d", *parts)
 	}
+	if *threshold < 0 || *compactEvery < 0 {
+		return fmt.Errorf("stream: -threshold and -compact must be non-negative (0: default)")
+	}
 
 	g, updates, err := gen.StreamFromRecipeOpts(*recipe, *scale, *ops, *seed,
 		gen.RecipeStreamOptions{GrowFrac: *grow})
@@ -119,8 +122,8 @@ func runStream(args []string) error {
 	fmt.Printf("maintenance: %d repairs (%d vertices), %d full rebuilds, %d compactions\n",
 		st.Repairs, st.RepairedVertices, st.FullRebuilds, st.Compactions)
 	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d index fallbacks, %d stalls\n",
-			st.RotationAttempts, st.RotationFallbacks, st.RotationStalls)
+		fmt.Printf("rotation search: %d attempts, %d stalls\n",
+			st.RotationAttempts, st.RotationStalls)
 	}
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()
@@ -171,6 +174,9 @@ func runServe(args []string) error {
 	}
 	if *batch < 1 || *ops < 0 || *parts < 1 || *queriers < 1 {
 		return fmt.Errorf("serve: -batch, -p and -queriers must be positive, -ops non-negative")
+	}
+	if *threshold < 0 || *vthreshold < 0 {
+		return fmt.Errorf("serve: -threshold and -vthreshold must be non-negative (0: default)")
 	}
 	var sys vebo.System
 	switch strings.ToLower(*system) {
@@ -369,8 +375,8 @@ func runServe(args []string) error {
 	fmt.Printf("maintenance: %d repairs (%d swaps, %d rotations), %d segment re-sorts, %d full rebuilds\n",
 		st.Repairs, st.Swaps, st.Rotations, st.Resorts, st.FullRebuilds)
 	if st.RotationAttempts > 0 {
-		fmt.Printf("rotation search: %d attempts, %d index fallbacks, %d stalls\n",
-			st.RotationAttempts, st.RotationFallbacks, st.RotationStalls)
+		fmt.Printf("rotation search: %d attempts, %d stalls\n",
+			st.RotationAttempts, st.RotationStalls)
 	}
 	if st.Admitted > 0 {
 		free, capacity := d.Headroom()

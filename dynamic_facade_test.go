@@ -42,6 +42,10 @@ func TestDynamicFacadePipeline(t *testing.T) {
 	if st.Updates != int64(len(updates)) {
 		t.Fatalf("stats recorded %d updates, want %d", st.Updates, len(updates))
 	}
+	// Negative maintenance settings are rejected, not taken literally.
+	if _, err := NewDynamic(g, DynamicOptions{VertexRebuildThreshold: -1}); err == nil {
+		t.Fatal("NewDynamic accepted a negative VertexRebuildThreshold")
+	}
 }
 
 // TestDynamicEnginesMatchFreshGraph is the acceptance check that all three

@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Report is the machine-readable result record shared by every experiment
-// that emits JSON (wall, view, grow). CI parses these files, so the schema is
+// that emits JSON (view, grow, refine). CI parses these files, so the schema is
 // append-only: new fields may be added, existing ones keep their names.
 type Report struct {
 	Experiment    string          `json:"experiment"`
@@ -59,21 +57,6 @@ type Gate struct {
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	Pass      bool    `json:"pass"`
-}
-
-// seriesFromHistogram converts an obs histogram (nanosecond observations)
-// into a LatencySeries over the given wall-clock window.
-func seriesFromHistogram(op, alg, system string, h *obs.Histogram, elapsed time.Duration) LatencySeries {
-	s := LatencySeries{Op: op, Alg: alg, System: system, Count: h.Count()}
-	if elapsed > 0 {
-		s.OpsPerSec = float64(s.Count) / elapsed.Seconds()
-	}
-	const ms = 1e6
-	s.P50Ms = float64(h.Quantile(0.50)) / ms
-	s.P95Ms = float64(h.Quantile(0.95)) / ms
-	s.P99Ms = float64(h.Quantile(0.99)) / ms
-	s.MeanMs = h.Mean() / ms
-	return s
 }
 
 // writeReport writes BENCH_<experiment>.json into cfg.JSONDir; an empty

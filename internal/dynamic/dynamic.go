@@ -110,11 +110,6 @@ type Config struct {
 	// dense, so callers feeding sparse external IDs should map them through
 	// an Allocator first; deletions never grow.
 	AutoGrow bool
-	// DisableSegmentResort turns off the background segment re-sort that
-	// restores degree-descending order inside one partition segment after
-	// batches whose repairs or admissions disturbed it. Exists for the
-	// locality-decay ablation.
-	DisableSegmentResort bool
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
 	// space starts growing, every full ordering sort reserves
@@ -158,6 +153,27 @@ const (
 	DefaultMinHeadroom  = 4
 	DefaultHeadroomFrac = 0.125
 )
+
+// validate rejects negative thresholds, compaction bounds and headroom
+// floors: zero selects a default, but a negative value would otherwise be
+// taken literally (a negative δ(n) gate forces a full rebuild every batch).
+// A negative HeadroomFrac is meaningful and allowed.
+func (c Config) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"RebuildThreshold", c.RebuildThreshold},
+		{"VertexRebuildThreshold", c.VertexRebuildThreshold},
+		{"CompactEvery", int64(c.CompactEvery)},
+		{"MinHeadroom", c.MinHeadroom},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dynamic: negative %s %d", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 func (c Config) withDefaults() Config {
 	if c.Partitions == 0 {
@@ -223,14 +239,11 @@ type Stats struct {
 	// performed when no improving pair swap existed.
 	Rotations int64
 	// RotationAttempts counts rotation searches started (one per repair step
-	// that found no improving pair swap); RotationFallbacks counts the ones
-	// where the degree-indexed candidate scan found no positive-gain rotation
-	// and the exhaustive sweep ran; RotationStalls counts the ones where even
-	// the exhaustive sweep found nothing — the step that forces the caller's
-	// full-rebuild fallback.
-	RotationAttempts  int64
-	RotationFallbacks int64
-	RotationStalls    int64
+	// that found no improving pair swap); RotationStalls counts the ones where
+	// the search found no positive-gain rotation — the step that forces the
+	// caller's full-rebuild fallback.
+	RotationAttempts int64
+	RotationStalls   int64
 	// Admitted is the number of vertices added to the graph after
 	// construction (Grow and AutoGrow admissions).
 	Admitted int64
@@ -365,14 +378,8 @@ type Graph struct {
 	members [][]graph.VertexID
 
 	// resortNext is the round-robin cursor of the background segment
-	// re-sort; resortPending records an out-of-band disturbance of the
-	// intra-segment order since the last re-sort opportunity. Headroom
-	// admissions do not set it — they append in degree-sorted position —
-	// so today only the swap/rotation counters trigger re-sorts, but the
-	// flag stays as the hook for any future order-decaying path that runs
-	// outside a batch.
-	resortNext    int
-	resortPending bool
+	// re-sort.
+	resortNext int
 
 	// View-delta accumulators, drained by DrainViewDelta.
 	viewNet   map[graph.Edge]int64
@@ -393,9 +400,13 @@ type Graph struct {
 	lastBatch obs.SpanContext
 }
 
-// New wraps g in a dynamic graph, computing the initial VEBO ordering.
+// New wraps g in a dynamic graph, computing the initial VEBO ordering. It
+// rejects negative maintenance settings (see Config.validate).
 func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	start := time.Now()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	r, err := core.Reorder(g, cfg.Partitions, core.Options{})
 	if err != nil {
@@ -716,14 +727,12 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 	// re-sort one segment per disturbing batch. Headroom admissions are
 	// not disturbances — they append in sorted position. A rebuild just
 	// re-established the order everywhere.
-	if !res.Rebuilt && !d.cfg.DisableSegmentResort &&
-		(d.resortPending || d.stats.Swaps+d.stats.Rotations > preMoves) {
+	if !res.Rebuilt && d.stats.Swaps+d.stats.Rotations > preMoves {
 		sstart := time.Now()
 		q, moved := d.resortSegment()
 		d.maintainSpan("resort", "locality-decay", sstart, time.Since(sstart),
 			map[string]int64{"partition": int64(q), "moved": int64(moved)})
 	}
-	d.resortPending = false
 	if d.PendingOps() >= d.compactBound() {
 		d.Compact()
 		res.Compacted = true
@@ -826,10 +835,10 @@ func (d *Graph) Grow(count int) graph.VertexID {
 	}
 	d.stats.Admitted += int64(count)
 	d.stats.Placements += int64(count)
-	// No resortPending: a headroom admission appends a zero-degree vertex
-	// with the largest ID at its segment's occupied tail, which is exactly
-	// where the degree-descending (ID-ascending on ties) order wants it —
-	// admissions no longer decay the layout the background re-sort repairs.
+	// No re-sort: a headroom admission appends a zero-degree vertex with the
+	// largest ID at its segment's occupied tail, which is exactly where the
+	// degree-descending (ID-ascending on ties) order wants it — admissions do
+	// not decay the layout the background re-sort repairs.
 	d.touch()
 	cause := "growth-headroom"
 	if spills > 0 {
@@ -1119,15 +1128,6 @@ func (d *Graph) ensureMembers() {
 	}
 }
 
-// rotScanK bounds the degree-indexed rotation search: per (receiver,donor)
-// pair, at most this many valid intermediates are gain-evaluated (and at most
-// 8× as many index slots scanned past skipped pmax/pmin residents). The
-// candidates nearest deg(a) carry almost all the gain — anything further
-// disturbs the intermediate partition more — so a short window finds the
-// same rotations the exhaustive pmin×P sweep does in practice, and the
-// sweep remains as a fallback when the window finds none.
-const rotScanK = 12
-
 // swapRepair pulls Δ(n) back under the effective threshold without moving
 // the partition segment boundaries: each step exchanges a vertex v of the
 // most-loaded partition with a lower-degree vertex u of the least-loaded
@@ -1197,28 +1197,6 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 			partOf = append([]uint32(nil), d.ordPartOf...)
 		}
 	}
-	// rotIdx is the degree-indexed rotation candidate index: every vertex,
-	// sorted by (live in-degree, ID). Degrees are fixed within a pass, so it
-	// is built lazily on the first rotation attempt and shared by the rest of
-	// the pass. It lets the search find intermediate vertices b with degree
-	// near deg(a) — the choice that least disturbs b's partition — by binary
-	// search plus a short two-sided scan, instead of probing every partition.
-	var rotIdx []graph.VertexID
-	ensureRotIdx := func() {
-		if rotIdx != nil {
-			return
-		}
-		rotIdx = make([]graph.VertexID, d.n)
-		for v := range rotIdx {
-			rotIdx[v] = graph.VertexID(v)
-		}
-		sort.Slice(rotIdx, func(i, j int) bool {
-			if d.degIn[rotIdx[i]] != d.degIn[rotIdx[j]] {
-				return d.degIn[rotIdx[i]] < d.degIn[rotIdx[j]]
-			}
-			return rotIdx[i] < rotIdx[j]
-		})
-	}
 	// rotate attempts a three-way exchange when no improving pair swap
 	// exists: a ∈ pmax moves to an intermediate partition q, b ∈ q moves to
 	// pmin, and c ∈ pmin moves to pmax, the three exchanging new IDs
@@ -1247,89 +1225,30 @@ func (d *Graph) swapRepair() (swaps, rots int64, stalled bool) {
 				bestQ, bestA, bestB, bestC, bestGain = q, aj, bj, ci, gain
 			}
 		}
-		// Indexed search: for each receiver c, take the donors a bracketing
-		// the ideal transfer (as the pair search does) and probe the degree
-		// index around deg(a) for intermediates b, nearest degree first.
-		ensureRotIdx()
-		posInList := func(q int, b graph.VertexID) int {
+		// Exhaustive pmin×P sweep: for each intermediate q and receiver c,
+		// take the donors a bracketing the ideal transfer (as the pair search
+		// does) and the intermediates b bracketing deg(a), so q's load barely
+		// moves.
+		for q := 0; q < p; q++ {
+			if q == pmax || q == pmin || len(lists[q]) == 0 {
+				continue
+			}
 			sortList(q)
-			l := lists[q]
-			return sort.Search(len(l), func(i int) bool {
-				if d.degIn[l[i]] != d.degIn[b] {
-					return d.degIn[l[i]] > d.degIn[b]
-				}
-				return l[i] >= b
-			})
-		}
-		probe := func(aj, ci int) {
-			da := d.degIn[lmax[aj]]
-			i0 := sort.Search(len(rotIdx), func(i int) bool { return d.degIn[rotIdx[i]] >= da })
-			taken, scanned := 0, 0
-			for lo, hi := i0-1, i0; taken < rotScanK && scanned < 8*rotScanK && (lo >= 0 || hi < len(rotIdx)); {
-				var b graph.VertexID
-				// Expand toward whichever side's next candidate is nearer
-				// in degree.
-				switch {
-				case lo < 0:
-					b = rotIdx[hi]
-					hi++
-				case hi >= len(rotIdx):
-					b = rotIdx[lo]
-					lo--
-				case da-d.degIn[rotIdx[lo]] <= d.degIn[rotIdx[hi]]-da:
-					b = rotIdx[lo]
-					lo--
-				default:
-					b = rotIdx[hi]
-					hi++
-				}
-				scanned++
-				q := int(d.assign[b])
-				if q == pmax || q == pmin {
-					continue
-				}
-				consider(q, aj, posInList(q, b), ci)
-				taken++
-			}
-		}
-		for ci, c := range lmin {
-			target := d.degIn[c] + (gap+1)/2
-			ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-			for _, aj := range [2]int{ai - 1, ai} {
-				if aj < 0 || aj >= len(lmax) {
-					continue
-				}
-				probe(aj, ci)
-			}
-		}
-		if bestQ < 0 {
-			// The indexed scan found no positive-gain rotation; fall back to
-			// the exhaustive pmin×P sweep so repair capability never
-			// regresses relative to the unindexed search.
-			d.stats.RotationFallbacks++
-			d.m.rotFallbacks.Inc()
-			for q := 0; q < p; q++ {
-				if q == pmax || q == pmin || len(lists[q]) == 0 {
-					continue
-				}
-				sortList(q)
-				lq := lists[q]
-				for ci, c := range lmin {
-					target := d.degIn[c] + (gap+1)/2
-					ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
-					for _, aj := range [2]int{ai - 1, ai} {
-						if aj < 0 || aj >= len(lmax) {
+			lq := lists[q]
+			for ci, c := range lmin {
+				target := d.degIn[c] + (gap+1)/2
+				ai := sort.Search(len(lmax), func(i int) bool { return d.degIn[lmax[i]] >= target })
+				for _, aj := range [2]int{ai - 1, ai} {
+					if aj < 0 || aj >= len(lmax) {
+						continue
+					}
+					da := d.degIn[lmax[aj]]
+					bi := sort.Search(len(lq), func(i int) bool { return d.degIn[lq[i]] >= da })
+					for _, bj := range [2]int{bi - 1, bi} {
+						if bj < 0 || bj >= len(lq) {
 							continue
 						}
-						a := lmax[aj]
-						// b ideally matches deg(a) so q's load barely moves.
-						bi := sort.Search(len(lq), func(i int) bool { return d.degIn[lq[i]] >= d.degIn[a] })
-						for _, bj := range [2]int{bi - 1, bi} {
-							if bj < 0 || bj >= len(lq) {
-								continue
-							}
-							consider(q, aj, bj, ci)
-						}
+						consider(q, aj, bj, ci)
 					}
 				}
 			}
@@ -1841,13 +1760,13 @@ func Fold(chain []ViewDelta) ViewDelta {
 // with a nil registry (every handle is then a nil no-op), so instrumented
 // paths never branch on whether metrics are enabled.
 type dynMetrics struct {
-	batches, inserts, deletes            *obs.Counter
-	repairs, swaps, rotations            *obs.Counter
-	rotAttempts, rotFallbacks, rotStalls *obs.Counter
-	rebuildRotStall, rebuildVertex       *obs.Counter
-	rebuildShortfall, rebuildForced      *obs.Counter
-	resorts, compactions                 *obs.Counter
-	admitted, headroomSpills             *obs.Counter
+	batches, inserts, deletes       *obs.Counter
+	repairs, swaps, rotations       *obs.Counter
+	rotAttempts, rotStalls          *obs.Counter
+	rebuildRotStall, rebuildVertex  *obs.Counter
+	rebuildShortfall, rebuildForced *obs.Counter
+	resorts, compactions            *obs.Counter
+	admitted, headroomSpills        *obs.Counter
 
 	batchNS, repairNS, rebuildNS *obs.Histogram
 	growNS, compactNS            *obs.Histogram
@@ -1873,7 +1792,6 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		swaps:            r.Counter("vebo_swaps_total"),
 		rotations:        r.Counter("vebo_rotations_total"),
 		rotAttempts:      r.Counter("vebo_rotation_search_total", "result", "attempt"),
-		rotFallbacks:     r.Counter("vebo_rotation_search_total", "result", "fallback"),
 		rotStalls:        r.Counter("vebo_rotation_search_total", "result", "stall"),
 		rebuildRotStall:  r.Counter("vebo_rebuilds_total", "cause", "rotation-stall"),
 		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),

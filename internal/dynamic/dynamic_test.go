@@ -254,6 +254,53 @@ func TestApplyBatchRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeSettings pins config validation: each negative
+// threshold, compaction bound or headroom floor is an error (instead of,
+// say, a negative δ(n) gate forcing a rebuild every batch), zero values
+// select the defaults, and a negative HeadroomFrac keeps its documented
+// meaning.
+func TestNewRejectsNegativeSettings(t *testing.T) {
+	g, err := gen.ErdosRenyi(100, 400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"RebuildThreshold", Config{RebuildThreshold: -1}},
+		{"VertexRebuildThreshold", Config{VertexRebuildThreshold: -1}},
+		{"CompactEvery", Config{CompactEvery: -1}},
+		{"MinHeadroom", Config{MinHeadroom: -1}},
+	} {
+		tc.cfg.Partitions = 4
+		if _, err := New(g, tc.cfg); err == nil {
+			t.Errorf("negative %s accepted", tc.name)
+		}
+	}
+	d, err := New(g, Config{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{
+		Partitions: 4, RebuildThreshold: 2, VertexRebuildThreshold: DefaultVertexThreshold,
+		MinHeadroom: DefaultMinHeadroom, HeadroomFrac: DefaultHeadroomFrac,
+	}
+	if d.cfg != want {
+		t.Fatalf("zero config resolved to %+v, want %+v", d.cfg, want)
+	}
+	if d.compactBound() != 8192 {
+		t.Fatalf("zero CompactEvery bound = %d, want the adaptive floor 8192", d.compactBound())
+	}
+	d, err = New(g, Config{Partitions: 4, HeadroomFrac: -1})
+	if err != nil {
+		t.Fatalf("negative HeadroomFrac rejected: %v", err)
+	}
+	if h := d.cfg.headroom(1000); h != DefaultMinHeadroom {
+		t.Fatalf("negative HeadroomFrac headroom(1000) = %d, want the MinHeadroom floor %d", h, DefaultMinHeadroom)
+	}
+}
+
 // TestInsertDeleteRoundTrip interleaves inserts and deletes of the same pair
 // and checks multiplicity bookkeeping across a compaction.
 func TestInsertDeleteRoundTrip(t *testing.T) {

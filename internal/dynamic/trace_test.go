@@ -58,7 +58,6 @@ func TestTraceThresholdTrip(t *testing.T) {
 		RebuildThreshold:         D/2 + 1,
 		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
-		DisableSegmentResort:     true,
 	})
 	// Same overload as TestSwapRepairRotationFallback: one coarse-class
 	// vertex gains exactly D in-edges, which the pair search cannot fix but
@@ -145,7 +144,6 @@ func TestTraceRotationStall(t *testing.T) {
 		RebuildThreshold:         1,
 		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
-		DisableSegmentResort:     true,
 	})
 	// Pile all new mass on vertex 0: every candidate transfer is 0 or the
 	// whole gap, so no swap strictly improves, and with P=2 there is no

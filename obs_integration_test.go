@@ -48,8 +48,10 @@ func metricValue(t *testing.T, text, name string) int64 {
 }
 
 // TestObsHandlerLiveScrape is the serve-mode integration test: a Dynamic
-// under concurrent ingest and queries exposes /metrics, and successive
-// scrapes show the epoch counter and per-algorithm latency series advancing.
+// under concurrent ingest and queries — BFS and PageRank on all three
+// framework models — exposes /metrics, and successive scrapes show the epoch
+// counter, the ingest latency series and every per-(algorithm, system) query
+// latency series advancing.
 func TestObsHandlerLiveScrape(t *testing.T) {
 	g, updates, err := gen.StreamFromRecipe("powerlaw", 0.05, 1024, 7)
 	if err != nil {
@@ -87,9 +89,15 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := d.View().BFS(GraphGrind, 0); err != nil {
-				errs <- err
-				return
+			for _, sys := range []System{Ligra, Polymer, GraphGrind} {
+				if _, err := d.View().BFS(sys, 0); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := d.View().PageRank(sys, 10); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
@@ -106,16 +114,25 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	if got := metricValue(t, second, "vebo_batches_total"); got != 8 {
 		t.Fatalf("vebo_batches_total = %d, want 8", got)
 	}
-	// The per-algorithm latency summary for the queried (alg, sys) pair must
-	// be populated with all three quantiles plus sum/count.
-	for _, want := range []string{
-		`vebo_query_ns{alg="bfs",sys="graphgrind",quantile="0.5"}`,
-		`vebo_query_ns{alg="bfs",sys="graphgrind",quantile="0.99"}`,
-		`vebo_query_ns_count{alg="bfs",sys="graphgrind"} 3`,
-		`vebo_queries_total{alg="bfs",sys="graphgrind"} 3`,
-	} {
-		if !strings.Contains(second, want) {
-			t.Fatalf("scrape missing %q:\n%s", want, second)
+	// One ingest latency observation per batch.
+	if got := metricValue(t, second, "vebo_batch_ns_count"); got != 8 {
+		t.Fatalf("vebo_batch_ns_count = %d, want 8", got)
+	}
+	// Every queried (alg, sys) latency summary must be populated with its
+	// quantiles plus sum/count.
+	for _, alg := range []string{"bfs", "pagerank"} {
+		for _, sys := range []string{"ligra", "polymer", "graphgrind"} {
+			labels := `alg="` + alg + `",sys="` + sys + `"`
+			for _, want := range []string{
+				`vebo_query_ns{` + labels + `,quantile="0.5"}`,
+				`vebo_query_ns{` + labels + `,quantile="0.99"}`,
+				`vebo_query_ns_count{` + labels + `} 3`,
+				`vebo_queries_total{` + labels + `} 3`,
+			} {
+				if !strings.Contains(second, want) {
+					t.Fatalf("scrape missing %q:\n%s", want, second)
+				}
+			}
 		}
 	}
 

@@ -19,7 +19,7 @@ func backlogDynamic(tb testing.TB, backlog int) *Dynamic {
 	}
 	d, err := NewDynamic(g, DynamicOptions{
 		Partitions: 64, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true, DisableSegmentResort: true, CompactEvery: 1 << 30,
+		DisableAdaptiveThreshold: true, CompactEvery: 1 << 30,
 	})
 	if err != nil {
 		tb.Fatal(err)

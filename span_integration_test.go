@@ -146,7 +146,7 @@ func TestSpanVocabulary(t *testing.T) {
 	}
 	sd, err := NewDynamic(sg, DynamicOptions{
 		Partitions: 2, RebuildThreshold: 1, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true, DisableSegmentResort: true,
+		DisableAdaptiveThreshold: true,
 	})
 	if err != nil {
 		t.Fatal(err)

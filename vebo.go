@@ -267,10 +267,6 @@ type DynamicOptions struct {
 	// 0.125). Negative disables the proportional term, leaving the
 	// MinHeadroom floor only.
 	HeadroomFrac float64
-	// DisableSegmentResort turns off the background one-segment-per-batch
-	// re-sort that counters intra-segment locality decay under
-	// placement-preserving maintenance; see internal/dynamic.Config.
-	DisableSegmentResort bool
 	// Engine configures the engines cached on published views: the virtual
 	// NUMA topology and GraphGrind's COO order. Partition counts and bounds
 	// come from the live ordering and are not configurable here.
@@ -280,15 +276,6 @@ type DynamicOptions struct {
 	// epoch's. Exists for the engine-build amortization experiment
 	// (bench -exp view).
 	DisableViewReuse bool
-	// SpanCapacity sizes the causal span ring (number of retained spans;
-	// default obs.DefaultSpanCapacity). Spans are the epoch-lifecycle
-	// record: each names what a step did and why, links each query to the
-	// publish span of the epoch it read and each maintenance step to the
-	// batch that triggered it. The span ring and the metrics registry are
-	// always on and reachable via Spans, Metrics and ObsHandler; spans are
-	// exported as Chrome Trace Event JSON on the /spans endpoint of
-	// ObsHandler and serve -http.
-	SpanCapacity int
 }
 
 // Dynamic is a mutable graph whose VEBO ordering is maintained incrementally
@@ -330,7 +317,7 @@ type Dynamic struct {
 // and publishing the epoch-0 view.
 func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 	reg := obs.NewRegistry()
-	spans := obs.NewSpans(opts.SpanCapacity)
+	spans := obs.NewSpans(0)
 	inner, err := dynamic.New(g, dynamic.Config{
 		Partitions:               opts.Partitions,
 		RebuildThreshold:         opts.RebuildThreshold,
@@ -340,7 +327,6 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 		AutoGrow:                 opts.AutoGrow,
 		MinHeadroom:              opts.MinHeadroom,
 		HeadroomFrac:             opts.HeadroomFrac,
-		DisableSegmentResort:     opts.DisableSegmentResort,
 		Metrics:                  reg,
 		Spans:                    spans,
 	})
