@@ -48,11 +48,11 @@
 //   - View-delta tracking. Between drains (one per published facade view)
 //     the subsystem records the net resolved edge changes, the set of
 //     vertices repositioned by placement-preserving swaps, rotations and
-//     re-sorts (Moved), the per-partition admission counts (Grown), and
+//     re-sorts (Moved), the number of vertices admitted (Grown), and
 //     whether the whole numbering was invalidated (PlacementChanged). The
 //     facade derives the exact set of dirty partitions from the delta's
 //     destination endpoints plus the moved and admitted positions, builds
-//     the segment-local injection from the two epochs' orderings, and
+//     the segment-local permutation from the two epochs' orderings, and
 //     patches engine-side structures for unchanged partitions instead of
 //     rebuilding them (see the vebo.View API). The facade keeps the drained
 //     deltas as a chain and Folds a window of it only when a reader patches.
@@ -384,7 +384,7 @@ type Graph struct {
 	// View-delta accumulators, drained by DrainViewDelta.
 	viewNet   map[graph.Edge]int64
 	viewMoved map[graph.VertexID]struct{}
-	viewGrow  []int64
+	viewGrow  int64
 	viewPlace bool
 
 	// m holds the metric handles (no-ops when Config.Metrics is nil — the
@@ -785,8 +785,8 @@ func (d *Graph) LastBatchSpan() obs.SpanContext { return d.lastBatch }
 // O(delta). Only when every partition's headroom is exhausted does Grow
 // spill to another relabeling epoch (Stats.HeadroomSpills,
 // vebo_headroom_spill_total), which reserves fresh headroom everywhere —
-// amortized O(1) per admission, vector-doubling style. The per-partition
-// admission counts are accumulated into the view delta's growth vector.
+// amortized O(1) per admission, vector-doubling style. The admissions are
+// counted into the view delta.
 func (d *Graph) Grow(count int) graph.VertexID {
 	first := graph.VertexID(d.n)
 	if count <= 0 {
@@ -800,8 +800,6 @@ func (d *Graph) Grow(count int) graph.VertexID {
 		// and has no reserved slots. Relabel into slotted form.
 		d.spillRelabel()
 	}
-	p := d.cfg.Partitions
-	grow := make([]int64, p)
 	spills := int64(0)
 	for i := 0; i < count; i++ {
 		q := d.admitTarget()
@@ -822,17 +820,11 @@ func (d *Graph) Grow(count int) graph.VertexID {
 			d.members[q] = append(d.members[q], graph.VertexID(d.n))
 		}
 		d.partVerts[q]++
-		grow[q]++
 		d.n++
 	}
 	d.placeEpoch++
 	d.ordPlace = d.placeEpoch
-	if d.viewGrow == nil {
-		d.viewGrow = make([]int64, p)
-	}
-	for q, c := range grow {
-		d.viewGrow[q] += c
-	}
+	d.viewGrow += int64(count)
 	d.stats.Admitted += int64(count)
 	d.stats.Placements += int64(count)
 	// No re-sort: a headroom admission appends a zero-degree vertex with the
@@ -1664,45 +1656,19 @@ type ViewDelta struct {
 	// since the last drain (full rebuild or headroom spill); swap repairs
 	// set Moved instead.
 	PlacementChanged bool
-	// Grown is the per-partition count of vertices admitted since the last
-	// drain (nil when none): partition p absorbed Grown[p] admissions into
-	// its reserved headroom slots, leaving every pre-existing vertex's new
-	// ID unchanged — the cross-epoch injection is the identity on the old
-	// vertices. Internal IDs are append-only, so the admitted vertices are
-	// exactly the IDs in [n − GrownTotal(), n) of the drained epoch's
-	// space; their new IDs are scattered per-partition tail slots, not a
-	// contiguous range. A spill (headroom exhaustion) renumbers instead and
-	// sets PlacementChanged.
-	Grown []int64
+	// Grown counts the vertices admitted since the last drain. Admissions
+	// fill reserved headroom slots inside fixed segment boundaries, leaving
+	// every pre-existing vertex's new ID unchanged. Internal IDs are
+	// append-only, so the admitted vertices are exactly the IDs in
+	// [n − Grown, n) of the drained epoch's space; their new IDs are
+	// scattered per-partition tail slots, not a contiguous range. A spill
+	// (headroom exhaustion) renumbers instead and sets PlacementChanged.
+	Grown int64
 }
 
 // Empty reports whether the delta records no change at all.
 func (vd ViewDelta) Empty() bool {
-	return len(vd.Net) == 0 && len(vd.Moved) == 0 && vd.Grown == nil && !vd.PlacementChanged
-}
-
-// GrownTotal returns the number of vertices admitted in the delta's window.
-func (vd ViewDelta) GrownTotal() int64 {
-	var t int64
-	for _, c := range vd.Grown {
-		t += c
-	}
-	return t
-}
-
-// addGrown adds b into a elementwise, allocating on first use; a nil
-// result stands for the zero vector.
-func addGrown(a, b []int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if a == nil {
-		a = make([]int64, len(b))
-	}
-	for p, c := range b {
-		a[p] += c
-	}
-	return a
+	return len(vd.Net) == 0 && len(vd.Moved) == 0 && vd.Grown == 0 && !vd.PlacementChanged
 }
 
 // DrainViewDelta returns the accumulated delta and resets the accumulators.
@@ -1720,13 +1686,13 @@ func (d *Graph) DrainViewDelta() ViewDelta {
 	}
 	d.viewNet = make(map[graph.Edge]int64)
 	d.viewMoved = make(map[graph.VertexID]struct{})
-	d.viewGrow = nil
+	d.viewGrow = 0
 	d.viewPlace = false
 	return vd
 }
 
 // Fold sums a chain of consecutive drained deltas into the one delta
-// covering their combined window: Net multiplicities and Grown vectors add
+// covering their combined window: Net multiplicities and Grown counts add
 // (entries that cancel across windows drop out, so Net is exact), Moved is
 // the union of the windows' sets (a superset of the vertices whose position
 // differs across the whole window — the caller trims it against the two
@@ -1750,7 +1716,7 @@ func Fold(chain []ViewDelta) ViewDelta {
 		for w := range vd.Moved {
 			out.Moved[w] = struct{}{}
 		}
-		out.Grown = addGrown(out.Grown, vd.Grown)
+		out.Grown += vd.Grown
 		out.PlacementChanged = out.PlacementChanged || vd.PlacementChanged
 	}
 	return out

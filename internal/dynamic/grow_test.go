@@ -210,11 +210,10 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGrowViewDeltaVector checks the drained growth vector: per-partition
-// counts sum to the admissions of the window, and folding a chain of drained
-// windows composes it — the whole chain sums both windows partition by
-// partition, and the suffix after the first window (the re-anchoring
-// operation) is exactly the later window's vector.
+// TestGrowViewDeltaVector checks the drained admission count: it equals the
+// admissions of the window, and folding a chain of drained windows composes
+// it — the whole chain sums both windows, and the suffix after the first
+// window (the re-anchoring operation) is exactly the later window's count.
 func TestGrowViewDeltaVector(t *testing.T) {
 	g, err := gen.ErdosRenyi(120, 700, 2)
 	if err != nil {
@@ -227,35 +226,23 @@ func TestGrowViewDeltaVector(t *testing.T) {
 	d.DrainViewDelta() // clear the initial window
 	d.Grow(3)
 	first := d.DrainViewDelta()
-	if first.GrownTotal() != 3 {
-		t.Fatalf("GrownTotal=%d, want 3", first.GrownTotal())
+	if first.Grown != 3 {
+		t.Fatalf("Grown=%d, want 3", first.Grown)
 	}
 	d.Grow(2)
 	second := d.DrainViewDelta()
-	if second.GrownTotal() != 2 {
-		t.Fatalf("GrownTotal=%d, want 2", second.GrownTotal())
+	if second.Grown != 2 {
+		t.Fatalf("Grown=%d, want 2", second.Grown)
 	}
 	chain := []ViewDelta{first, second}
-	merged := Fold(chain)
-	if merged.GrownTotal() != 5 {
-		t.Fatalf("folded GrownTotal=%d, want 5", merged.GrownTotal())
+	if merged := Fold(chain); merged.Grown != 5 {
+		t.Fatalf("folded Grown=%d, want 5", merged.Grown)
 	}
-	for p, c := range merged.Grown {
-		if c != first.Grown[p]+second.Grown[p] {
-			t.Fatalf("partition %d: folded growth %d, want %d+%d", p, c, first.Grown[p], second.Grown[p])
-		}
+	if back := Fold(chain[1:]); back.Grown != 2 {
+		t.Fatalf("suffix Grown=%d, want 2", back.Grown)
 	}
-	back := Fold(chain[1:])
-	if back.GrownTotal() != 2 {
-		t.Fatalf("suffix GrownTotal=%d, want 2", back.GrownTotal())
-	}
-	for p, c := range back.Grown {
-		if c != second.Grown[p] {
-			t.Fatalf("partition %d: suffix growth %d, want %d", p, c, second.Grown[p])
-		}
-	}
-	if d.DrainViewDelta().Grown != nil {
-		t.Fatal("drain did not reset the growth vector")
+	if d.DrainViewDelta().Grown != 0 {
+		t.Fatal("drain did not reset the admission count")
 	}
 }
 

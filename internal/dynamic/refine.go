@@ -59,7 +59,7 @@ func (p RefinePlan) Touched() int {
 // of exactly the per-batch deltas drained in that window), so the plan is
 // too.
 func DeriveRefinePlan(vd ViewDelta) RefinePlan {
-	p := RefinePlan{GrownTotal: vd.GrownTotal()}
+	p := RefinePlan{GrownTotal: vd.Grown}
 	if len(vd.Net) > 0 {
 		p.OutDegDelta = make(map[graph.VertexID]int64, len(vd.Net))
 	}

@@ -14,7 +14,7 @@ func TestDeriveRefinePlanUnrollsMultiplicities(t *testing.T) {
 	vd := ViewDelta{
 		Net:   map[graph.Edge]int64{e1: 2, e2: -1, e3: -3},
 		Moved: map[graph.VertexID]struct{}{9: {}, 5: {}},
-		Grown: []int64{1, 0, 2},
+		Grown: 3,
 	}
 	p := DeriveRefinePlan(vd)
 

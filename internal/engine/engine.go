@@ -303,16 +303,6 @@ type PatchStats struct {
 	EdgesRemapped             int64
 }
 
-// Add accumulates other into s.
-func (s *PatchStats) Add(other PatchStats) {
-	s.PartsRebuilt += other.PartsRebuilt
-	s.PartsReused += other.PartsReused
-	s.PartsRemapped += other.PartsRemapped
-	s.EdgesRebuilt += other.EdgesRebuilt
-	s.EdgesReused += other.EdgesReused
-	s.EdgesRemapped += other.EdgesRemapped
-}
-
 // Config carries the knobs shared by the three engines.
 type Config struct {
 	// Topology is the virtual NUMA machine; the zero value selects the

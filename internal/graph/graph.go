@@ -229,8 +229,8 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 // sortAdjacency sorts each vertex's out- and in-neighbour list ascending by
 // (neighbor, weight), keeping weights parallel. Ordering parallel edges by
 // weight too makes row content a pure function of the edge multiset, so
-// graphs built by FromEdges and graphs patched row-wise by PatchEdges are
-// byte-identical for identical multisets.
+// graphs built by FromEdges and graphs patched row-wise by PatchEdgesN or
+// PatchEdgesPerm are byte-identical for identical multisets.
 func (g *Graph) sortAdjacency() {
 	for v := 0; v < g.n; v++ {
 		sortAdjRange(g.outDst, g.outW, g.outOff[v], g.outOff[v+1])

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// PatchStats reports how much construction work a PatchEdges call did, in
+// PatchStats reports how much construction work a patch call did, in
 // edges. Merged edges go through the full per-row merge-and-sort path;
 // remapped edges are entries whose stored neighbor ID was rewritten through
 // the permutation (the affected row is re-sorted only when the rewrite
@@ -22,122 +22,93 @@ type PatchStats struct {
 	EdgesCopied   int64 // edges block-copied unchanged (both directions)
 }
 
-// PatchEdges returns a new graph equal to g with dels removed and adds
-// inserted, without rebuilding untouched adjacency rows: only the rows of
-// vertices incident to a change are merged, everything else is block-copied.
-// Each deletion removes one occurrence of exactly (Src, Dst, Weight) as
-// stored — i.e. with weights normalized the way FromEdges stores them (1 on
-// unweighted graphs and for zero input weights); it is an error if no such
-// occurrence exists. The receiver is not modified. Merged rows are sorted by
-// (neighbor, weight); untouched rows keep their original order.
-func (g *Graph) PatchEdges(adds, dels []Edge) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(g.n, adds, dels, nil)
-}
-
-// PatchEdgesN is PatchEdges over a grown vertex space: the result has
-// nNew ≥ g.NumVertices() vertices, the appended vertices starting with
-// empty adjacency rows (plus whatever adds reference them). This is the
-// snapshot-growth contract: original vertex IDs are append-only, so a
-// snapshot of a graph that admitted vertices patches from an older
-// snapshot by row-array extension, never by re-materialization.
+// PatchEdgesN returns a new graph equal to g with dels removed and adds
+// inserted, over nNew ≥ g.NumVertices() vertices, without rebuilding
+// untouched adjacency rows: only the rows of vertices incident to a change
+// are merged, everything else is block-copied, and the appended vertices
+// start with empty rows (plus whatever adds reference them). Each deletion
+// removes one occurrence of exactly (Src, Dst, Weight) as stored — i.e.
+// with weights normalized the way FromEdges stores them (1 on unweighted
+// graphs and for zero input weights); it is an error if no such occurrence
+// exists. The receiver is not modified. Merged rows are sorted by
+// (neighbor, weight); untouched rows keep their original order. Growth is
+// the snapshot contract: original vertex IDs are append-only, so a snapshot
+// of a graph that admitted vertices patches from an older snapshot by
+// row-array extension, never by re-materialization.
 func (g *Graph) PatchEdgesN(nNew int, adds, dels []Edge) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(nNew, adds, dels, nil)
-}
-
-// PatchEdgesPerm generalizes PatchEdges with a segment-local renumbering:
-// the result equals g relabeled by perm, then patched with dels removed and
-// adds inserted (both given in post-perm IDs). perm maps each of g's vertex
-// IDs to its new ID and must be a permutation of [0, n); nil selects the
-// identity. The cost scales with the change, not the graph: only rows owned
-// by or referencing a moved vertex (perm[v] != v), plus rows incident to an
-// explicit add or delete, are merged or remapped — everything else is
-// block-copied. This is the patch-path contract behind placement-preserving
-// repair: a swap exchanges two IDs, so perm differs from the identity at
-// exactly the swapped positions and the rest of the graph is reused
-// wholesale.
-func (g *Graph) PatchEdgesPerm(adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
-	return g.PatchEdgesPermN(g.n, adds, dels, perm)
-}
-
-// PatchEdgesPermN is PatchEdgesPerm over a grown vertex space. The result
-// has nNew vertices; perm (length g.NumVertices()) must be injective into
-// [0, nNew), and new IDs without a preimage under perm start with empty
-// rows. This is the segment-growth contract: admissions land in reserved
-// headroom slots at their partition segment's tail, so the injection is the
-// identity outside the grown segments — typically the identity everywhere,
-// since the pre-existing vertices keep their slots. An identity injection
-// (no vertex moved) is detected and takes the nil-perm path: no remap row
-// class at all, every untouched row block-copies, and the patch cost is
-// O(delta). Only maintenance that actually relocates vertices (swap repair,
-// segment re-sorts, spill relabeling) produces non-identity injections, and
-// those remap exactly the rows owned by or referencing a moved vertex.
-func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
-	var st PatchStats
 	if nNew < g.n {
-		return nil, st, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", g.n, nNew)
+		return nil, PatchStats{}, fmt.Errorf("graph: patch shrinks vertex space %d -> %d", g.n, nNew)
 	}
-	for _, e := range adds {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return nil, st, fmt.Errorf("graph: patch add (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
-		}
-	}
-	for _, e := range dels {
-		if int(e.Src) >= nNew || int(e.Dst) >= nNew {
-			return nil, st, fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, nNew)
-		}
-	}
+	return g.patch(nNew, adds, dels, nil, nil, nil)
+}
+
+// PatchEdgesPerm is PatchEdgesN at a fixed vertex count with a
+// segment-local renumbering: the result equals g relabeled by perm, then
+// patched with dels removed and adds inserted (both given in post-perm
+// IDs). perm maps each of g's vertex IDs to its new ID and must be a
+// permutation of [0, n); nil selects the identity. The cost scales with the
+// change, not the graph: only rows owned by or referencing a moved vertex
+// (perm[v] != v), plus rows incident to an explicit add or delete, are
+// merged or remapped — everything else is block-copied. This is the
+// patch-path contract behind placement-preserving repair within a
+// numbering lineage, whose slot space is fixed: a swap exchanges two IDs,
+// so perm differs from the identity at exactly the swapped positions and
+// the rest of the graph is reused wholesale; an identity perm remaps
+// nothing.
+func (g *Graph) PatchEdgesPerm(adds, dels []Edge, perm []VertexID) (*Graph, PatchStats, error) {
 	var inv, moved []VertexID
 	if perm != nil {
 		if len(perm) != g.n {
-			return nil, st, fmt.Errorf("graph: patch perm length %d != n %d", len(perm), g.n)
+			return nil, PatchStats{}, fmt.Errorf("graph: patch perm length %d != n %d", len(perm), g.n)
 		}
-		inv = make([]VertexID, nNew)
+		inv = make([]VertexID, g.n)
 		for i := range inv {
-			inv[i] = VertexID(g.n) // sentinel: no preimage
+			inv[i] = VertexID(g.n) // sentinel: no preimage yet
 		}
 		for old, nw := range perm {
-			if int(nw) >= nNew || inv[nw] != VertexID(g.n) {
-				return nil, st, fmt.Errorf("graph: patch perm is not injective at %d -> %d", old, nw)
+			if int(nw) >= g.n || inv[nw] != VertexID(g.n) {
+				return nil, PatchStats{}, fmt.Errorf("graph: patch perm is not a permutation at %d -> %d", old, nw)
 			}
 			inv[nw] = VertexID(old)
 			if VertexID(old) != nw {
 				moved = append(moved, VertexID(old))
 			}
 		}
-		if len(moved) == 0 {
-			// Identity injection (headroom growth without relocation): inv is
-			// the identity prefix the nil-perm branch below would build, so
-			// drop perm entirely — no remap row class, clean rows block-copy.
-			perm = nil
+	}
+	return g.patch(g.n, adds, dels, perm, inv, moved)
+}
+
+// patch builds the patched graph over n ≥ g.n vertices. perm, when
+// non-nil, is a permutation of [0, g.n) (so n == g.n), inv its inverse and
+// moved the vertices it does not fix.
+func (g *Graph) patch(n int, adds, dels []Edge, perm, inv, moved []VertexID) (*Graph, PatchStats, error) {
+	var st PatchStats
+	for _, e := range adds {
+		if int(e.Src) >= n || int(e.Dst) >= n {
+			return nil, st, fmt.Errorf("graph: patch add (%d,%d) out of range n=%d", e.Src, e.Dst, n)
 		}
-	} else if nNew > g.n {
-		// Identity map into a larger space: preimages are the identity
-		// prefix, appended rows have none.
-		inv = make([]VertexID, nNew)
-		for i := range inv {
-			if i < g.n {
-				inv[i] = VertexID(i)
-			} else {
-				inv[i] = VertexID(g.n)
-			}
+	}
+	for _, e := range dels {
+		if int(e.Src) >= n || int(e.Dst) >= n {
+			return nil, st, fmt.Errorf("graph: patch delete (%d,%d) out of range n=%d", e.Src, e.Dst, n)
 		}
 	}
 	m := g.NumEdges() + int64(len(adds)) - int64(len(dels))
 	if m < 0 {
 		return nil, st, fmt.Errorf("graph: patch deletes %d edges from a graph with %d + %d added", len(dels), g.NumEdges(), len(adds))
 	}
-	out := &Graph{n: nNew, weighted: g.weighted}
+	out := &Graph{n: n, weighted: g.weighted}
 
 	var err error
 	out.outOff, out.outDst, out.outW, err = patchSide(
-		g.n, nNew, g.outOff, g.outDst, g.outW, adds, dels, g.weighted,
+		g.n, n, g.outOff, g.outDst, g.outW, adds, dels, g.weighted,
 		func(e Edge) (VertexID, VertexID) { return e.Src, e.Dst },
 		perm, inv, moved, g.InNeighbors, &st)
 	if err != nil {
 		return nil, st, fmt.Errorf("graph: patch out-edges: %w", err)
 	}
 	out.inOff, out.inSrc, out.inW, err = patchSide(
-		g.n, nNew, g.inOff, g.inSrc, g.inW, adds, dels, g.weighted,
+		g.n, n, g.inOff, g.inSrc, g.inW, adds, dels, g.weighted,
 		func(e Edge) (VertexID, VertexID) { return e.Dst, e.Src },
 		perm, inv, moved, g.OutNeighbors, &st)
 	if err != nil {
@@ -153,8 +124,9 @@ func (g *Graph) PatchEdgesPermN(nNew int, adds, dels []Edge, perm []VertexID) (*
 // scanning the graph. adds and dels are in post-perm IDs. Rows fall into
 // three classes: rows with explicit adds/dels are merged (rewrite + re-sort),
 // rows merely owned by or referencing a moved vertex are remapped (linear ID
-// rewrite, re-sorted only if the rewrite broke the order — segment shifts
-// are monotone and preserve it), and everything else is block-copied.
+// rewrite, re-sorted only if the rewrite broke the order), and everything
+// else is block-copied. Rows at or past nOld exist only under nil-perm
+// growth and hold additions alone.
 func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 	adds, dels []Edge, weighted bool,
 	key func(Edge) (VertexID, VertexID),
@@ -184,14 +156,9 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 
 	// Remap-dirty rows, in post-perm IDs: rows owned by moved vertices
 	// (their content relocates and may self-reference) and rows whose lists
-	// mention a moved vertex (their stored neighbor IDs went stale). When
-	// most of the graph moved — the segment-growth regime, where every
-	// vertex after the first grown partition shifts — locating referencing
-	// rows through the reverse adjacency costs as much as flagging
-	// everything, so flag everything.
+	// mention a moved vertex (their stored neighbor IDs went stale).
 	var remap map[VertexID]struct{}
-	allRemap := perm != nil && 2*len(moved) > nOld
-	if !allRemap && len(moved) > 0 {
+	if len(moved) > 0 {
 		remap = make(map[VertexID]struct{}, 2*len(moved))
 		for _, a := range moved {
 			remap[perm[a]] = struct{}{}
@@ -250,11 +217,7 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 			continue
 		}
 		if len(va) == 0 && len(vd) == 0 {
-			dirty := allRemap
-			if !dirty {
-				_, dirty = remap[VertexID(v)]
-			}
-			if !dirty {
+			if _, dirty := remap[VertexID(v)]; !dirty {
 				// Clean rows are owned by unmoved vertices (u == v) and
 				// mention only unmoved neighbors, so the stored IDs are
 				// still valid.
@@ -264,13 +227,11 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 				continue
 			}
 			// Remap-only row: content unchanged, stale IDs rewritten through
-			// perm. Segment shifts are monotone inside a row's neighbor
-			// list, so sortedness usually survives; re-sort only when a
-			// swapped neighbor broke it. Entries whose neighbor did not move
-			// copy through unchanged — a row that merely relocated (its
-			// owner moved, its neighbors did not) is a block copy at a new
-			// index, so only the genuinely rewritten entries count as remap
-			// work.
+			// perm; re-sort only when a swapped neighbor broke the order.
+			// Entries whose neighbor did not move copy through unchanged — a
+			// row that merely relocated (its owner moved, its neighbors did
+			// not) is a block copy at a new index, so only the genuinely
+			// rewritten entries count as remap work.
 			sorted := true
 			var rewritten int64
 			for i := off[u]; i < off[u+1]; i++ {

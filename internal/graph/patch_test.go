@@ -69,7 +69,7 @@ func TestPatchEdgesMatchesRebuild(t *testing.T) {
 					Src: VertexID(rng.Intn(n)), Dst: VertexID(rng.Intn(n)), Weight: w,
 				})
 			}
-			patched, st, err := g.PatchEdges(adds, dels)
+			patched, st, err := g.PatchEdgesN(n, adds, dels)
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -102,7 +102,7 @@ func TestPatchEdgesSortedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := g.PatchEdges([]Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, []Edge{{0, 4, 1}})
+	p, _, err := g.PatchEdgesN(5, []Edge{{0, 3, 1}, {0, 0, 1}, {4, 2, 1}}, []Edge{{0, 4, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +126,20 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdges([]Edge{{0, 9, 1}}, nil); err == nil {
+	if _, _, err := g.PatchEdgesN(3, []Edge{{0, 9, 1}}, nil); err == nil {
 		t.Error("expected range error for add")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{9, 0, 1}}); err == nil {
+	if _, _, err := g.PatchEdgesN(3, nil, []Edge{{9, 0, 1}}); err == nil {
 		t.Error("expected range error for delete")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 2, 1}}); err == nil {
+	if _, _, err := g.PatchEdgesN(3, nil, []Edge{{0, 2, 1}}); err == nil {
 		t.Error("expected missing-edge error")
 	}
 	// Weight must match exactly as stored.
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 1, 4}}); err == nil {
+	if _, _, err := g.PatchEdgesN(3, nil, []Edge{{0, 1, 4}}); err == nil {
 		t.Error("expected weight-mismatch error")
 	}
-	if _, _, err := g.PatchEdges(nil, []Edge{{0, 1, 5}}); err != nil {
+	if _, _, err := g.PatchEdgesN(3, nil, []Edge{{0, 1, 5}}); err != nil {
 		t.Errorf("exact-weight delete failed: %v", err)
 	}
 	// Unweighted graphs normalize all weights to 1.
@@ -147,7 +147,7 @@ func TestPatchEdgesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ug.PatchEdges(nil, []Edge{{0, 1, 9}}); err != nil {
+	if _, _, err := ug.PatchEdgesN(3, nil, []Edge{{0, 1, 9}}); err != nil {
 		t.Errorf("unweighted delete should ignore weights: %v", err)
 	}
 }
@@ -310,26 +310,11 @@ func TestPatchEdgesNGrowth(t *testing.T) {
 	}
 }
 
-// growthInjection builds the segment-growth map shape: old IDs shift up by
-// the number of slots inserted before them, leaving holes for new vertices.
-func growthInjection(n, nNew int, holes []VertexID) []VertexID {
-	isHole := make(map[VertexID]bool, len(holes))
-	for _, h := range holes {
-		isHole[h] = true
-	}
-	perm := make([]VertexID, 0, n)
-	for id := VertexID(0); int(id) < nNew && len(perm) < n; id++ {
-		if !isHole[id] {
-			perm = append(perm, id)
-		}
-	}
-	return perm
-}
-
-// TestPatchEdgesPermNGrowth drives the segment-growth contract: an injective
-// shift map with interior holes for admitted vertices, combined with swaps
-// and edge churn, equals relabel+rebuild over the grown space, and the
-// shifted rows go through the cheap remap path rather than merges.
+// TestPatchEdgesPermNGrowth chains the two live patch shapes across a
+// growing graph: nil-perm growth (the snapshot shape, appended rows filled
+// by adds) alternating with swap permutations at a fixed vertex count (the
+// in-lineage reorder shape), both combined with edge churn. Every step must
+// equal relabel+rebuild, and growth alone must remap nothing.
 func TestPatchEdgesPermNGrowth(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(23))
@@ -348,22 +333,21 @@ func TestPatchEdgesPermNGrowth(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			nOld := g.NumVertices()
-			growth := 1 + rng.Intn(5)
-			nNew := nOld + growth
-			holes := make([]VertexID, 0, growth)
-			seen := make(map[VertexID]bool)
-			for len(holes) < growth {
-				h := VertexID(rng.Intn(nNew))
-				if !seen[h] {
-					seen[h] = true
-					holes = append(holes, h)
-				}
+			grow := trial%2 == 0
+			nNew := nOld
+			if grow {
+				nNew += 1 + rng.Intn(5)
 			}
-			perm := growthInjection(nOld, nNew, holes)
-			// A couple of swaps on top of the shift, as a repair would leave.
-			for s := 0; s < rng.Intn(3); s++ {
-				a, b := rng.Intn(nOld), rng.Intn(nOld)
-				perm[a], perm[b] = perm[b], perm[a]
+			perm := make([]VertexID, nOld)
+			for i := range perm {
+				perm[i] = VertexID(i)
+			}
+			if !grow {
+				// A couple of swaps, as a repair would leave.
+				for s := 0; s < 1+rng.Intn(3); s++ {
+					a, b := rng.Intn(nOld), rng.Intn(nOld)
+					perm[a], perm[b] = perm[b], perm[a]
+				}
 			}
 			live := g.Edges()
 			var dels []Edge
@@ -380,16 +364,20 @@ func TestPatchEdgesPermNGrowth(t *testing.T) {
 				if weighted {
 					w = int32(rng.Intn(5) + 1)
 				}
-				// Half the adds touch the new vertices.
-				var e Edge
-				if i%2 == 0 && len(holes) > 0 {
-					e = Edge{Src: holes[rng.Intn(len(holes))], Dst: VertexID(rng.Intn(nNew)), Weight: w}
-				} else {
-					e = Edge{Src: VertexID(rng.Intn(nNew)), Dst: VertexID(rng.Intn(nNew)), Weight: w}
+				// Half the adds of a growth step touch the new vertices.
+				src := VertexID(rng.Intn(nNew))
+				if grow && i%2 == 0 {
+					src = VertexID(nOld + rng.Intn(nNew-nOld))
 				}
-				adds = append(adds, e)
+				adds = append(adds, Edge{Src: src, Dst: VertexID(rng.Intn(nNew)), Weight: w})
 			}
-			patched, st, err := g.PatchEdgesPermN(nNew, adds, dels, perm)
+			var patched *Graph
+			var st PatchStats
+			if grow {
+				patched, st, err = g.PatchEdgesN(nNew, adds, dels)
+			} else {
+				patched, st, err = g.PatchEdgesPerm(adds, dels, perm)
+			}
 			if err != nil {
 				t.Fatalf("weighted=%v trial %d: %v", weighted, trial, err)
 			}
@@ -398,30 +386,39 @@ func TestPatchEdgesPermNGrowth(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !Equal(patched, want) {
-				t.Fatalf("weighted=%v trial %d: grown perm patch differs from relabel+rebuild", weighted, trial)
+				t.Fatalf("weighted=%v trial %d (grow=%v): patch differs from relabel+rebuild", weighted, trial, grow)
 			}
 			if covered := st.EdgesCopied + st.EdgesMerged + st.EdgesRemapped; covered < patched.NumEdges() {
 				t.Fatalf("stats cover %d edges of %d", covered, patched.NumEdges())
 			}
-			g = patched // chain growth across trials
+			if grow && st.EdgesRemapped != 0 {
+				t.Fatalf("trial %d: growth remapped %d edges", trial, st.EdgesRemapped)
+			}
+			g = patched // chain growth and swaps across trials
 		}
 	}
 }
 
-// TestPatchEdgesPermNErrors validates the injection argument.
+// TestPatchEdgesPermNErrors checks that a perm cannot grow the vertex
+// space: growth goes through PatchEdgesN alone, and PatchEdgesPerm refuses
+// a perm that injects into a larger space, whether by its targets or by
+// its length.
 func TestPatchEdgesPermNErrors(t *testing.T) {
 	g, err := FromEdges(3, []Edge{{0, 1, 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 1}); err == nil {
-		t.Error("expected non-injective error")
+	if _, _, err := g.PatchEdgesPerm(nil, nil, []VertexID{0, 1, 3}); err == nil {
+		t.Error("expected injection into a grown space to be rejected")
 	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 4}); err == nil {
-		t.Error("expected out-of-range error")
+	if _, _, err := g.PatchEdgesPerm(nil, nil, []VertexID{0, 1, 2, 3}); err == nil {
+		t.Error("expected grown-length perm to be rejected")
 	}
-	if _, _, err := g.PatchEdgesPermN(4, nil, nil, []VertexID{0, 1, 3}); err != nil {
-		t.Errorf("injection into grown space should be accepted: %v", err)
+	if _, _, err := g.PatchEdgesPerm([]Edge{{Src: 3, Dst: 0, Weight: 1}}, nil, nil); err == nil {
+		t.Error("expected add past the fixed vertex count to be rejected")
+	}
+	if p, _, err := g.PatchEdgesN(4, []Edge{{Src: 3, Dst: 0, Weight: 1}}, nil); err != nil || p.NumVertices() != 4 {
+		t.Errorf("nil-perm growth should be accepted: %v", err)
 	}
 }
 

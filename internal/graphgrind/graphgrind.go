@@ -86,136 +86,88 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 // Patch builds a GraphGrind engine over g — a graph whose edge content
 // differs from gg's only inside partitions for which dirty reports true —
 // reusing gg's materialized per-partition COOs and metadata for every clean
-// partition. The caller guarantees that gg's partition structure still
-// applies to g in one of two shapes. With bounds == nil, g has the same
-// vertex count and the boundaries are unchanged: either the vertex
-// placement did not change between the two graphs (perm == nil), or it
-// changed by a segment-local permutation perm (old ID → new ID, identity
-// outside the moved vertices) that kept every partition's vertex count —
-// and therefore the boundaries — fixed. Headroom growth (dynamic.Graph
-// admitting vertices into reserved slots at a segment's tail) is the
-// bounds == nil, perm == nil case: the slot-space boundaries are constant
-// across the lineage and the admitted rows appear inside their partition's
-// fixed range, so only the grown partitions are dirty and the COO rewrite
-// is confined to them — every other partition shares its COO outright with
-// no remap pass. With non-nil bounds (len(parts)+1 entries), the vertex
-// space may additionally have grown with moved boundaries: bounds are the
-// new partition boundaries, perm is an injection of the old ID space into
-// [0, bounds[last]) (the pre-headroom segment-growth shape: a
-// per-partition shift plus swaps), and g has bounds[last] vertices. The
+// partition. g must have gg's vertex count, and gg's partition boundaries
+// carry over unchanged: either the vertex placement did not change between
+// the two graphs (perm == nil), or it changed by a segment-local
+// permutation perm (old ID → new ID, identity outside the moved vertices)
+// that kept every partition's vertex count fixed. Headroom growth
+// (dynamic.Graph admitting vertices into reserved slots at a segment's
+// tail) is the perm == nil case: the slot-space boundaries are constant
+// across the numbering lineage and the admitted rows appear inside their
+// partition's fixed range, so only the grown partitions are dirty. The
 // caller must flag partitions owning a moved or admitted vertex as dirty,
 // and partitions whose COO references a moved source vertex via srcMoved
-// (nil = none). Dirty and grown partitions are rebuilt from g; partitions
-// that merely shifted or hold stale source references are remapped — a
-// linear copy with IDs rewritten through perm — and everything else shares
-// the previous epoch's structures outright.
+// (nil = none). Dirty partitions are rebuilt from g; partitions holding
+// stale source references are remapped — a linear copy with source IDs
+// rewritten through perm — and everything else shares the previous epoch's
+// structures outright, as do the partition ranges and lookup table.
 //
 // Remapped COOs keep their entry order, so a Hilbert- or CSR-ordered COO is
 // no longer strictly sorted at the handful of rewritten entries. Entry
 // order only shapes the modeled memory-access locality (dense traversal
 // applies the kernel per edge regardless of order), so correctness is
 // unaffected; the order fully heals at the partition's next rebuild.
-func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, bounds []int64, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, engine.PatchStats, error) {
+func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMoved func(lo, hi graph.VertexID) bool) (*GraphGrind, engine.PatchStats, error) {
 	var st engine.PatchStats
-	nNew := gg.g.NumVertices()
-	if bounds != nil {
-		if len(bounds) != len(gg.parts)+1 {
-			return nil, st, fmt.Errorf("graphgrind: patch bounds must have %d entries, got %d", len(gg.parts)+1, len(bounds))
-		}
-		nNew = int(bounds[len(bounds)-1])
-	}
-	if g.NumVertices() != nNew {
-		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), nNew)
+	if n := gg.g.NumVertices(); g.NumVertices() != n {
+		return nil, st, fmt.Errorf("graphgrind: patch vertex count %d != %d", g.NumVertices(), n)
 	}
 	parts := make([]partition.Partition, len(gg.parts))
 	coos := make([]*layout.COO, len(gg.coos))
-	rebuild := func(i int, lo, hi graph.VertexID) error {
-		np := partition.Partition{Lo: lo, Hi: hi}
-		for v := lo; v < hi; v++ {
+	for i, pt := range gg.parts {
+		if !dirty(pt.Lo, pt.Hi) {
+			if perm == nil || srcMoved == nil || !srcMoved(pt.Lo, pt.Hi) {
+				parts[i] = pt
+				coos[i] = gg.coos[i]
+				st.PartsReused++
+				st.EdgesReused += pt.Edges
+				continue
+			}
+			if c, rewritten, ok := remapCOO(gg.coos[i], perm); ok {
+				parts[i] = pt
+				coos[i] = c
+				st.PartsRemapped++
+				st.EdgesRemapped += rewritten
+				st.EdgesReused += pt.Edges - rewritten
+				continue
+			}
+			// A destination moved inside a partition the caller claimed
+			// clean; rebuild defensively rather than trust the contract.
+		}
+		np := partition.Partition{Lo: pt.Lo, Hi: pt.Hi}
+		for v := pt.Lo; v < pt.Hi; v++ {
 			np.Edges += g.InDegree(v)
 		}
-		c, err := layout.BuildRange(g, lo, hi, gg.cfg.Order)
+		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, gg.cfg.Order)
 		if err != nil {
-			return err
+			return nil, st, err
 		}
 		parts[i] = np
 		coos[i] = c
 		st.PartsRebuilt++
 		st.EdgesRebuilt += np.Edges
-		return nil
-	}
-	for i, pt := range gg.parts {
-		newLo, newHi := pt.Lo, pt.Hi
-		if bounds != nil {
-			newLo, newHi = graph.VertexID(bounds[i]), graph.VertexID(bounds[i+1])
-		}
-		shifted := newLo != pt.Lo
-		grown := newHi-newLo != pt.Hi-pt.Lo
-		if dirty(newLo, newHi) || grown || (shifted && perm == nil) {
-			if err := rebuild(i, newLo, newHi); err != nil {
-				return nil, st, err
-			}
-			continue
-		}
-		if perm != nil && (shifted || (srcMoved != nil && srcMoved(newLo, newHi))) {
-			c, rewritten, ok := remapCOO(gg.coos[i], perm, int64(newLo)-int64(pt.Lo))
-			if !ok {
-				// A destination moved (or a vertex was admitted) inside a
-				// partition the caller claimed clean; rebuild defensively
-				// rather than trust the contract.
-				if err := rebuild(i, newLo, newHi); err != nil {
-					return nil, st, err
-				}
-				continue
-			}
-			parts[i] = partition.Partition{Lo: newLo, Hi: newHi, Edges: pt.Edges}
-			coos[i] = c
-			st.PartsRemapped++
-			st.EdgesRemapped += rewritten
-			st.EdgesReused += pt.Edges - rewritten
-			continue
-		}
-		parts[i] = pt
-		coos[i] = gg.coos[i]
-		st.PartsReused++
-		st.EdgesReused += pt.Edges
-	}
-	ranges := gg.ranges
-	partOf := gg.partOf
-	if bounds != nil {
-		ranges = make([]engine.Range, len(parts))
-		partOf = make([]uint32, nNew)
-		for i, pt := range parts {
-			ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
-			for v := pt.Lo; v < pt.Hi; v++ {
-				partOf[v] = uint32(i)
-			}
-		}
 	}
 	return &GraphGrind{
 		g:      g,
 		cfg:    gg.cfg,
 		parts:  parts,
-		ranges: ranges,
+		ranges: gg.ranges,
 		coos:   coos,
-		partOf: partOf,
+		partOf: gg.partOf,
 	}, st, nil
 }
 
-// remapCOO copies c with stale endpoint IDs rewritten through perm. A clean
-// partition's in-edge content is unchanged, so its destinations must map
-// uniformly by the partition's shift delta (a swapped or admitted
-// destination would mean the content changed); ok=false reports a violation
-// so the caller can rebuild. Source vertices may move arbitrarily.
-// rewritten counts the entries whose stored IDs actually changed — with a
-// zero delta that is only the entries referencing a moved source, and the
-// rewrite is restricted to them: identity entries block-copy, the
-// destination array is shared, and a COO with no stale entry at all is
-// shared outright without allocating. The weight array is always shared
-// with c, which is immutable.
-func remapCOO(c *layout.COO, perm []graph.VertexID, delta int64) (*layout.COO, int64, bool) {
+// remapCOO copies c with stale source IDs rewritten through perm. A clean
+// partition's in-edge content is unchanged, so its destinations must be
+// fixed points of perm (a moved destination would mean the content
+// changed); ok=false reports a violation so the caller can rebuild. Source
+// vertices may move arbitrarily. rewritten counts the entries whose source
+// actually changed. The destination and weight arrays are shared with c,
+// which is immutable, and a COO with no stale entry at all is shared
+// outright without allocating.
+func remapCOO(c *layout.COO, perm []graph.VertexID) (*layout.COO, int64, bool) {
 	for _, d := range c.Dst {
-		if int(d) >= len(perm) || int64(perm[d]) != int64(d)+delta {
+		if int(d) >= len(perm) || perm[d] != d {
 			return nil, 0, false
 		}
 	}
@@ -228,23 +180,14 @@ func remapCOO(c *layout.COO, perm []graph.VertexID, delta int64) (*layout.COO, i
 			stale++
 		}
 	}
-	if delta == 0 && stale == 0 {
+	if stale == 0 {
 		return c, 0, true
 	}
 	src := make([]graph.VertexID, len(c.Src))
 	for i, s := range c.Src {
 		src[i] = perm[s]
 	}
-	dst := c.Dst
-	rewritten := stale
-	if delta != 0 {
-		dst = make([]graph.VertexID, len(c.Dst))
-		for i, d := range c.Dst {
-			dst[i] = graph.VertexID(int64(d) + delta)
-		}
-		rewritten = int64(len(c.Src))
-	}
-	return &layout.COO{Src: src, Dst: dst, Weight: c.Weight, Ordering: c.Ordering}, rewritten, true
+	return &layout.COO{Src: src, Dst: c.Dst, Weight: c.Weight, Ordering: c.Ordering}, stale, true
 }
 
 // Name implements Engine.

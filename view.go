@@ -262,7 +262,7 @@ func (d *Dynamic) ViewWork() ViewWork { return d.work.snapshot() }
 type chainSize struct{ net, moved, grown int64 }
 
 func (c chainSize) add(vd dynamic.ViewDelta) chainSize {
-	return chainSize{c.net + int64(len(vd.Net)), c.moved + int64(len(vd.Moved)), c.grown + vd.GrownTotal()}
+	return chainSize{c.net + int64(len(vd.Net)), c.moved + int64(len(vd.Moved)), c.grown + vd.Grown}
 }
 
 func (c chainSize) sub(o chainSize) chainSize {
@@ -511,16 +511,15 @@ func (v *View) Snapshot() *Graph {
 	return snap
 }
 
-// segPerm returns the segment-local injection mapping the basis view's
-// new-ID space into this view's, or nil for the identity. Growth alone no
-// longer produces an injection at all: within a numbering lineage the slot
-// space is fixed and admissions fill reserved headroom slots, so every
-// basis position keeps its ID — identity outside the grown segments, and
-// the identity on them too (admitted slots have no basis preimage; their
-// content arrives as explicit adds). Only placement-preserving moves (swap
-// repairs, rotations, segment re-sorts) yield a real map: identity
-// everywhere except the moved vertices' positions. Valid only while the
-// numbering lineage is intact (!delta.PlacementChanged).
+// segPerm returns the segment-local permutation mapping the basis view's
+// slot space onto this view's, or nil for the identity. Within a numbering
+// lineage the slot space is fixed and admissions fill reserved headroom
+// slots, so growth alone keeps every basis position's ID (admitted slots
+// have no basis preimage; their content arrives as explicit adds). Only
+// placement-preserving moves (swap repairs, rotations, segment re-sorts)
+// yield a real map: identity everywhere except the moved vertices'
+// positions. Valid only while the numbering lineage is intact
+// (!delta.PlacementChanged), where both views have the same slot count.
 func (v *View) segPerm(b *View) []VertexID {
 	v.segOnce.Do(func() {
 		if len(v.delta(b).Moved) == 0 {
@@ -530,10 +529,12 @@ func (v *View) segPerm(b *View) []VertexID {
 		// exactly the prefix [0, b.nverts) of this view's; composing the
 		// two orderings over it yields the basis-position → this-position
 		// map directly. The map spans the basis engine's whole slot space:
-		// reserved-headroom holes carry empty rows but still need injective
-		// targets — identity where free (in-lineage moves only exchange
-		// occupied positions, so it always is), matched to leftover free
-		// slots otherwise.
+		// reserved-headroom holes carry empty rows but still need targets —
+		// the identity where this view left the slot free, a leftover free
+		// slot otherwise. The latter happens when a move parks a
+		// pre-existing vertex in a slot that was a hole at the basis: a
+		// vertex admitted since the basis filled the slot, then a swap
+		// exchanged it with the pre-existing one.
 		bSlots := int(b.ord.Slots())
 		vSlots := int(v.ord.Slots())
 		seg := make([]VertexID, bSlots)
@@ -581,7 +582,7 @@ func (v *View) Reordered() (*Graph, error) {
 				perm := v.ord.Perm
 				mapEndpoints(adds, perm)
 				mapEndpoints(dels, perm)
-				rg, st, err := brg.PatchEdgesPermN(v.slots(), adds, dels, v.segPerm(b))
+				rg, st, err := v.patchReordered(b, brg, adds, dels)
 				if err == nil {
 					v.work.graphPatches.Add(1)
 					v.work.patchedEdges.Add(st.EdgesMerged)
@@ -610,6 +611,17 @@ func (v *View) Reordered() (*Graph, error) {
 		return rg, nil
 	}
 	return nil, v.rgErr
+}
+
+// patchReordered patches the basis view's reordered graph brg into this
+// view's. Within a numbering lineage the slot space is fixed, so a slot
+// count that differs from the basis's is a broken contract: it surfaces as
+// an error and the caller takes the scratch fallback.
+func (v *View) patchReordered(b *View, brg *Graph, adds, dels []graph.Edge) (*Graph, graph.PatchStats, error) {
+	if n := brg.NumVertices(); v.slots() != n {
+		return nil, graph.PatchStats{}, fmt.Errorf("vebo: slot count %d != basis %d within a lineage", v.slots(), n)
+	}
+	return brg.PatchEdgesPerm(adds, dels, v.segPerm(b))
 }
 
 // mapEndpoints rewrites edge endpoints through a permutation in place.
@@ -659,7 +671,7 @@ func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 	v.dirtyOnce.Do(func() {
 		vd := v.delta(b)
 		perm := v.ord.Perm
-		grown := int(vd.GrownTotal())
+		grown := int(vd.Grown)
 		seen := make(map[VertexID]struct{}, len(vd.Net)+len(vd.Moved)+grown)
 		dirty := make([]VertexID, 0, len(vd.Net)+len(vd.Moved)+grown)
 		add := func(id VertexID) {
@@ -692,9 +704,10 @@ func (v *View) dirtyPredicate(b *View) func(lo, hi VertexID) bool {
 // the segment permutation. The set is the destinations of the moved
 // vertices' current out-edges; edges they lost since the basis appear in
 // the net delta and dirty their destinations through dirtyPredicate.
-// Growth does not enter: admissions fill reserved headroom slots, so no
-// pre-existing source ID ever shifts — a grown epoch without repairs leaves
-// this set empty and every clean partition's COO is shared outright.
+// Growth does not enter: admissions fill reserved headroom slots inside
+// fixed segment boundaries, so no pre-existing source ID ever shifts — a
+// grown epoch without repairs leaves this set empty and every clean
+// partition's COO is shared outright.
 func (v *View) srcMovedPredicate(b *View, rg *Graph) func(lo, hi VertexID) bool {
 	v.srcOnce.Do(func() {
 		moved := v.delta(b).Moved
@@ -801,13 +814,13 @@ func (v *View) buildEngine(sys System) (Engine, error) {
 
 // patchEngine derives this view's engine from the basis view b's by
 // rebuilding only dirty partitions, remapping partitions whose stored
-// source IDs moved, and sharing the rest. Partition boundaries are always
-// passed as nil ("unchanged"): within a numbering lineage the slot space is
-// fixed — admissions fill reserved headroom slots inside existing segment
-// boundaries — so the engines share ranges and partition lookup tables
-// outright even across grown epochs, and only a spill (which breaks the
-// lineage and forces scratch builds) ever changes the boundaries. Reports
-// ok=false to fall back to a scratch build.
+// source IDs moved, and sharing the rest. The engines keep the basis's
+// partition boundaries: within a numbering lineage the slot space is fixed
+// — admissions fill reserved headroom slots inside existing segment
+// boundaries — so ranges and partition lookup tables are shared outright
+// even across grown epochs, and only a spill (which breaks the lineage and
+// forces scratch builds) ever changes the boundaries. Reports ok=false to
+// fall back to a scratch build.
 func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine, bool) {
 	switch sys {
 	case Ligra:
@@ -827,7 +840,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := pe.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b))
+		e, st, err := pe.Patch(rg, v.segPerm(b), v.dirtyPredicate(b))
 		if err != nil {
 			return nil, false
 		}
@@ -838,7 +851,7 @@ func (v *View) patchEngine(sys System, b *View, base Engine, rg *Graph) (Engine,
 		if !ok {
 			return nil, false
 		}
-		e, st, err := ge.Patch(rg, v.segPerm(b), nil, v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
+		e, st, err := ge.Patch(rg, v.segPerm(b), v.dirtyPredicate(b), v.srcMovedPredicate(b, rg))
 		if err != nil {
 			return nil, false
 		}
