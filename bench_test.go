@@ -12,6 +12,8 @@ package vebo_test
 import (
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	vebo "repro"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/numa"
 	"repro/internal/order"
+	"repro/internal/partition"
 )
 
 // benchConfig is the reduced-scale configuration used by the per-experiment
@@ -115,24 +118,65 @@ func BenchmarkApplyPermutation(b *testing.B) {
 	}
 }
 
-func BenchmarkHilbertCOOBuild(b *testing.B) {
+// benchmarkCOOBuild materializes the whole graph as one COO in order o.
+func benchmarkCOOBuild(b *testing.B, o layout.Order) {
 	g := benchGraph(b)
+	all := []partition.Partition{{Hi: graph.VertexID(g.NumVertices())}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := layout.Build(g, layout.HilbertOrder); err != nil {
+		if _, err := layout.Build(g, all, o, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCSRCOOBuild(b *testing.B) {
+func BenchmarkHilbertCOOBuild(b *testing.B) { benchmarkCOOBuild(b, layout.HilbertOrder) }
+func BenchmarkCSRCOOBuild(b *testing.B)     { benchmarkCOOBuild(b, layout.CSROrder) }
+
+// BenchmarkGraphGrindPatch patches a 384-partition CSR-order GraphGrind
+// engine over the VEBO-ordered graph across one 256-edge insertion batch,
+// the serving shape in which nearly every partition is dirty.
+func BenchmarkGraphGrindPatch(b *testing.B) {
 	g := benchGraph(b)
+	r, err := core.Reorder(g, 384, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rg, err := core.Apply(g, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := graphgrind.New(rg, graphgrind.Config{
+		Engine:     engine.Config{Topology: numa.Default()},
+		Partitions: 384,
+		Order:      layout.CSROrder,
+		Bounds:     r.Boundaries(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	n := rg.NumVertices()
+	adds := make([]graph.Edge, 256)
+	touched := make([]bool, n)
+	for i := range adds {
+		adds[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: 1}
+		touched[adds[i].Dst] = true
+	}
+	ng, _, err := rg.PatchEdgesN(n, adds, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dirty := func(lo, hi graph.VertexID) bool { return slices.Contains(touched[lo:hi], true) }
+	b.ReportAllocs()
 	b.ResetTimer()
+	var st engine.PatchStats
 	for i := 0; i < b.N; i++ {
-		if _, err := layout.Build(g, layout.CSROrder); err != nil {
+		if _, st, err = base.Patch(ng, nil, dirty, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.PartsRebuilt), "parts-rebuilt")
 }
 
 func BenchmarkPageRankIteration(b *testing.B) {

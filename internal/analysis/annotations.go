@@ -13,10 +13,9 @@ import (
 //
 // Two directives exist (DESIGN.md §7):
 //
-//	//vebo:frozen [allow=f,g]
+//	//vebo:frozen
 //	    On a type declaration: values of the type are immutable outside
-//	    builder functions (functions whose signature returns the type) and
-//	    the optional comma-separated allow list of same-package functions.
+//	    builder functions (functions whose signature returns the type).
 //	//vebo:guardedby <mutexField>
 //	    On a struct field: the field may only be accessed while the named
 //	    sibling mutex field is held.
@@ -29,13 +28,9 @@ type Annotations struct {
 	modRoot string // module root directory ("" disables cross-package scans)
 	modPath string // module import path, e.g. "repro"
 
-	scanned map[string]bool       // package import paths already indexed
-	frozen  map[string]frozenInfo // "pkgpath.Type" -> info
-	guarded map[string]string     // "pkgpath.Type.field" -> mutex field name
-}
-
-type frozenInfo struct {
-	allow map[string]bool // extra same-package functions allowed to mutate
+	scanned map[string]bool   // package import paths already indexed
+	frozen  map[string]bool   // "pkgpath.Type" annotated //vebo:frozen
+	guarded map[string]string // "pkgpath.Type.field" -> mutex field name
 }
 
 // NewAnnotations returns an empty index rooted at the module. modRoot may
@@ -46,7 +41,7 @@ func NewAnnotations(modRoot, modPath string) *Annotations {
 		modRoot: modRoot,
 		modPath: modPath,
 		scanned: make(map[string]bool),
-		frozen:  make(map[string]frozenInfo),
+		frozen:  make(map[string]bool),
 		guarded: make(map[string]string),
 	}
 }
@@ -69,8 +64,8 @@ func (a *Annotations) AddFile(pkgPath string, f *ast.File) {
 				doc = gd.Doc
 			}
 			for _, line := range directiveLines(doc, ts.Comment) {
-				if rest, ok := strings.CutPrefix(line, "vebo:frozen"); ok {
-					a.frozen[pkgPath+"."+ts.Name.Name] = parseFrozen(rest)
+				if strings.HasPrefix(line, "vebo:frozen") {
+					a.frozen[pkgPath+"."+ts.Name.Name] = true
 				}
 			}
 			st, ok := ts.Type.(*ast.StructType)
@@ -96,12 +91,10 @@ func (a *Annotations) AddFile(pkgPath string, f *ast.File) {
 	}
 }
 
-// Frozen reports whether the named type carries //vebo:frozen, and if so
-// which extra functions its allow list names.
-func (a *Annotations) Frozen(pkgPath, typeName string) (frozenInfo, bool) {
+// Frozen reports whether the named type carries //vebo:frozen.
+func (a *Annotations) Frozen(pkgPath, typeName string) bool {
 	a.ensure(pkgPath)
-	fi, ok := a.frozen[pkgPath+"."+typeName]
-	return fi, ok
+	return a.frozen[pkgPath+"."+typeName]
 }
 
 // GuardedBy returns the mutex field guarding pkgPath.Type.field, if the
@@ -162,18 +155,4 @@ func directiveLines(groups ...*ast.CommentGroup) []string {
 		}
 	}
 	return out
-}
-
-func parseFrozen(rest string) frozenInfo {
-	fi := frozenInfo{allow: make(map[string]bool)}
-	for _, tok := range strings.Fields(rest) {
-		if names, ok := strings.CutPrefix(tok, "allow="); ok {
-			for _, n := range strings.Split(names, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					fi.allow[n] = true
-				}
-			}
-		}
-	}
-	return fi
 }

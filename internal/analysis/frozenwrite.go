@@ -16,8 +16,6 @@ import (
 // Allowed contexts:
 //   - functions whose signature returns (a pointer to) the frozen type —
 //     builders construct before publication;
-//   - functions named in the annotation's allow= list — in-package build
-//     helpers that mutate through a receiver;
 //   - func literals passed to once.Do where once is a sync.Once field of
 //     the same frozen type — the lazy-build idiom used by View caches.
 var Frozenwrite = &Analyzer{
@@ -77,8 +75,8 @@ func checkFrozenTarget(pass *Pass, pm parentMap, target ast.Expr, direct bool) {
 			fld, owner := fieldOf(pass.Info, x)
 			if fld != nil {
 				if pkg, typ, ok := namedKey(owner); ok {
-					if fi, frozen := pass.Ann.Frozen(pkg, typ); frozen &&
-						!frozenWriteAllowed(pass, pm, x, fi, pkg, typ) {
+					if pass.Ann.Frozen(pkg, typ) &&
+						!frozenWriteAllowed(pass, pm, x, pkg, typ) {
 						if direct {
 							pass.Reportf(x.Pos(),
 								"write to field %s of frozen type %s outside its builders (//vebo:frozen)",
@@ -99,13 +97,9 @@ func checkFrozenTarget(pass *Pass, pm parentMap, target ast.Expr, direct bool) {
 	}
 }
 
-func frozenWriteAllowed(pass *Pass, pm parentMap, n ast.Node, fi frozenInfo, pkg, typ string) bool {
+func frozenWriteAllowed(pass *Pass, pm parentMap, n ast.Node, pkg, typ string) bool {
 	for _, fn := range pm.enclosingFuncs(n) {
 		if returnsType(signatureOf(pass.Info, fn), pkg, typ) {
-			return true
-		}
-		// allow= names bind to the type's own package only.
-		if name := funcDeclName(fn); name != "" && fi.allow[name] && pass.Pkg.Path() == pkg {
 			return true
 		}
 	}

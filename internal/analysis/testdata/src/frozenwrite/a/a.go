@@ -1,6 +1,7 @@
 // Seeded violations for the frozenwrite analyzer: capture and lazy are
-// //vebo:frozen, so mutation is legal only in builders, allow-listed
-// helpers, and once-guarded lazy initializers.
+// //vebo:frozen, so mutation is legal only in builders and once-guarded
+// lazy initializers. A trailing allow= clause names no exemption: helpers
+// that mutate through a parameter are flagged like any other writer.
 package a
 
 import "sync"
@@ -22,7 +23,7 @@ func build(n int) *capture {
 }
 
 func scrub(c *capture) {
-	c.rows[0] = 0 // allow-listed by the annotation
+	c.rows[0] = 0 // want `mutation through field rows aliases data of frozen type capture`
 }
 
 func taint(c *capture) {

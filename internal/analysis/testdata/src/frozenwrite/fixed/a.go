@@ -1,11 +1,12 @@
 // The canonical fix for frozenwrite/a: mutation happens only in builders
-// (taint became a copy-on-write builder returning the modified capture),
+// (taint became a copy-on-write builder returning the modified capture, and
+// scrub zeroes rows[0] inside build before the capture is returned),
 // matching how repair epochs copy the ordering before permuting it.
 package fixed
 
 import "sync"
 
-//vebo:frozen allow=scrub
+//vebo:frozen
 type capture struct {
 	n    int
 	rows []int
@@ -16,11 +17,12 @@ func build(n int) *capture {
 	c := &capture{n: n, rows: make([]int, n+2), meta: map[string]int{}}
 	c.rows[0] = 1
 	c.meta["a"] = 1
+	scrub(c.rows)
 	return c
 }
 
-func scrub(c *capture) {
-	c.rows[0] = 0
+func scrub(rows []int) {
+	rows[0] = 0
 }
 
 func taint(c *capture) *capture {

@@ -139,14 +139,6 @@ func returnsType(sig *types.Signature, pkgPath, name string) bool {
 	return false
 }
 
-// funcDeclName returns the bare name of a FuncDecl node ("" for literals).
-func funcDeclName(fn ast.Node) string {
-	if d, ok := fn.(*ast.FuncDecl); ok {
-		return d.Name.Name
-	}
-	return ""
-}
-
 // inOnceDoOf reports whether n sits inside a func literal passed to
 // once.Do(...) where once is a sync.Once field of the type pkgPath.name —
 // the lazy-build exemption for frozen types.

@@ -22,13 +22,9 @@ var fig6Machine = memsim.Config{LLCBytes: 32 << 10, TLBEntries: 8}
 // fig6Replay builds per-partition COOs in the given order and replays one PR
 // iteration, returning per-partition cycles.
 func fig6Replay(cfg Config, g *graph.Graph, parts []partition.Partition, o layout.Order) ([]float64, error) {
-	coos := make([]*layout.COO, len(parts))
-	for i, pt := range parts {
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, o)
-		if err != nil {
-			return nil, err
-		}
-		coos[i] = c
+	coos, err := layout.Build(g, parts, o, nil)
+	if err != nil {
+		return nil, err
 	}
 	// Single-socket machine model: Figure 6 isolates the effect of edge
 	// ordering on cache behaviour; a multi-socket model would overlay a

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/order"
+	"repro/internal/partition"
 )
 
 // Table6 regenerates the paper's Table VI: the wall-clock cost of vertex
@@ -45,11 +46,16 @@ func Table6(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		tHilbert := timeIt(func() { _, err = layout.Build(vg, layout.HilbertOrder) })
+		// GraphGrind's edge-reordering cost: one COO per VEBO partition.
+		parts, err := partition.ByVertexRanges(vg, r.Boundaries())
 		if err != nil {
 			return err
 		}
-		tCSR := timeIt(func() { _, err = layout.Build(vg, layout.CSROrder) })
+		tHilbert := timeIt(func() { _, err = layout.Build(vg, parts, layout.HilbertOrder, nil) })
+		if err != nil {
+			return err
+		}
+		tCSR := timeIt(func() { _, err = layout.Build(vg, parts, layout.CSROrder, nil) })
 		if err != nil {
 			return err
 		}

@@ -294,8 +294,9 @@ func MakespanGrouped(costs []int64, groups, workersPerGroup int) int64 {
 // versus rebuilt, and the edges owned by each group. Remapped partitions
 // sit in between: their edge content is unchanged but a segment-local
 // renumbering moved some referenced vertex IDs, so their structures were
-// copied with IDs rewritten — a single linear pass, cheaper than the
-// gather-and-sort of a rebuild.
+// copied with IDs rewritten — a linear pass over the partition's own
+// entries, where a rebuild rescans the graph's rows (CSR order) or re-sorts
+// the partition by curve key (Hilbert order).
 type PatchStats struct {
 	PartsRebuilt, PartsReused int
 	PartsRemapped             int

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/layout"
+	"repro/internal/partition"
 )
 
 func TestMakespanStatic(t *testing.T) {
@@ -123,6 +124,15 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// rangeCOOs builds one Hilbert-ordered COO per scheduling unit.
+func rangeCOOs(g *graph.Graph, units []Range) ([]*layout.COO, error) {
+	parts := make([]partition.Partition, len(units))
+	for i, u := range units {
+		parts[i] = partition.Partition{Lo: u.Lo, Hi: u.Hi}
+	}
+	return layout.Build(g, parts, layout.HilbertOrder, nil)
+}
+
 // countKernel counts how many times each destination receives an update from
 // an active source; used to validate traversal coverage.
 func countKernel(n int) (EdgeKernel, []int64) {
@@ -187,7 +197,7 @@ func TestSparsePushVisitsFrontierEdges(t *testing.T) {
 func TestDenseCOOMatchesDensePull(t *testing.T) {
 	g := testGraph(t)
 	units := SplitRange(g.NumVertices(), 100)
-	coos, err := BuildPartitionCOOs(g, units, layout.HilbertOrder, 1)
+	coos, err := rangeCOOs(g, units)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/layout"
 )
 
 // TestPushPullEquivalenceQuick is the central traversal invariant: for any
@@ -55,7 +54,7 @@ func TestPushPullEquivalenceQuick(t *testing.T) {
 				return counts, out
 			default:
 				units := SplitRange(n, 16)
-				coos, err := BuildPartitionCOOs(g, units, layout.HilbertOrder, 2)
+				coos, err := rangeCOOs(g, units)
 				if err != nil {
 					return nil, nil
 				}

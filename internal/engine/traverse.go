@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/frontier"
@@ -250,28 +249,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// BuildPartitionCOOs materializes one COO per destination range in the given
-// order, in parallel.
-func BuildPartitionCOOs(g *graph.Graph, ranges []Range, o layout.Order, workers int) ([]*layout.COO, error) {
-	coos := make([]*layout.COO, len(ranges))
-	var mu sync.Mutex
-	var firstErr error
-	sched.DynamicItems(workers, len(ranges), func(_, i int) {
-		c, err := layout.BuildRange(g, ranges[i].Lo, ranges[i].Hi, o)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		coos[i] = c
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return coos, nil
 }

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,7 +31,7 @@ type Edge struct {
 // built once at construction and are immutable afterwards; the processing
 // engines read whichever view suits the traversal direction.
 //
-//vebo:frozen allow=sortAdjacency
+//vebo:frozen
 type Graph struct {
 	n int // number of vertices
 
@@ -177,6 +178,17 @@ func (g *Graph) Edges() []Edge {
 // Ligra keep them, and the balance analysis counts every edge). weighted
 // controls whether the per-edge weights are preserved; when false all weights
 // are forced to 1.
+//
+// Every row comes out sorted by (neighbor, weight), in O(n + m) with no
+// comparison sort beyond the weights of parallel edges: the edges are
+// bucketed by source, the buckets are scanned in source order into the
+// in-rows (so each in-row is sorted by source), the weights of each run of
+// parallel in-edges are sorted, and the in-rows are scanned in destination
+// order into the out-rows (so each out-row is sorted by destination, then
+// weight). Ordering parallel edges by weight too makes row content a pure
+// function of the edge multiset, so graphs built here and graphs patched
+// row-wise by PatchEdgesN or PatchEdgesPerm are byte-identical for identical
+// multisets.
 func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -190,8 +202,8 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	g.outOff = make([]int64, n+1)
 	g.inOff = make([]int64, n+1)
 	for _, e := range edges {
-		g.outOff[e.Src+1]++
-		g.inOff[e.Dst+1]++
+		g.outOff[int(e.Src)+1]++
+		g.inOff[int(e.Dst)+1]++
 	}
 	for v := 0; v < n; v++ {
 		g.outOff[v+1] += g.outOff[v]
@@ -202,65 +214,58 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	g.outW = make([]int32, m)
 	g.inSrc = make([]VertexID, m)
 	g.inW = make([]int32, m)
-	outNext := make([]int64, n)
-	inNext := make([]int64, n)
-	copy(outNext, g.outOff[:n])
-	copy(inNext, g.inOff[:n])
+	next := make([]int64, n)
+
+	// Bucket by source: the out-rows, in input order for now.
+	copy(next, g.outOff[:n])
 	for _, e := range edges {
 		w := e.Weight
 		if !weighted || w == 0 {
 			w = 1
 		}
-		oi := outNext[e.Src]
-		g.outDst[oi] = e.Dst
-		g.outW[oi] = w
-		outNext[e.Src]++
-		ii := inNext[e.Dst]
-		g.inSrc[ii] = e.Src
-		g.inW[ii] = w
-		inNext[e.Dst]++
+		i := next[e.Src]
+		g.outDst[i] = e.Dst
+		g.outW[i] = w
+		next[e.Src]++
 	}
-	// Keep neighbour lists sorted for deterministic traversal and binary
-	// searchability.
-	g.sortAdjacency()
+	// Out-rows to in-rows in source order: each in-row is sorted by source.
+	transposeRows(next, g.outOff, g.outDst, g.outW, g.inOff, g.inSrc, g.inW)
+	// Parallel in-edges are adjacent; order each run by weight.
+	if weighted {
+		for v := 0; v < n; v++ {
+			lo, hi := g.inOff[v], g.inOff[v+1]
+			for a := lo; a < hi; {
+				b := a + 1
+				for b < hi && g.inSrc[b] == g.inSrc[a] {
+					b++
+				}
+				if b-a > 1 {
+					slices.Sort(g.inW[a:b])
+				}
+				a = b
+			}
+		}
+	}
+	// In-rows back to out-rows in destination order: each out-row is sorted
+	// by destination, and parallel edges keep their weight order.
+	transposeRows(next, g.inOff, g.inSrc, g.inW, g.outOff, g.outDst, g.outW)
 	return g, nil
 }
 
-// sortAdjacency sorts each vertex's out- and in-neighbour list ascending by
-// (neighbor, weight), keeping weights parallel. Ordering parallel edges by
-// weight too makes row content a pure function of the edge multiset, so
-// graphs built by FromEdges and graphs patched row-wise by PatchEdgesN or
-// PatchEdgesPerm are byte-identical for identical multisets.
-func (g *Graph) sortAdjacency() {
-	for v := 0; v < g.n; v++ {
-		sortAdjRange(g.outDst, g.outW, g.outOff[v], g.outOff[v+1])
-		sortAdjRange(g.inSrc, g.inW, g.inOff[v], g.inOff[v+1])
+// transposeRows scatters the rows (off, ids, ws) into the transposed rows
+// (tOff, tIDs, tWs), scanning rows in ascending owner order so every
+// transposed row lists its neighbors ascending, and parallel entries in
+// their order within the source row. next is n cursors of scratch.
+func transposeRows(next, off []int64, ids []VertexID, ws []int32, tOff []int64, tIDs []VertexID, tWs []int32) {
+	copy(next, tOff)
+	for v := range next {
+		for i := off[v]; i < off[v+1]; i++ {
+			j := next[ids[i]]
+			tIDs[j] = VertexID(v)
+			tWs[j] = ws[i]
+			next[ids[i]]++
+		}
 	}
-}
-
-func sortAdjRange(ids []VertexID, ws []int32, lo, hi int64) {
-	if hi-lo < 2 {
-		return
-	}
-	seg := adjSegment{ids: ids[lo:hi], ws: ws[lo:hi]}
-	sort.Sort(seg)
-}
-
-type adjSegment struct {
-	ids []VertexID
-	ws  []int32
-}
-
-func (s adjSegment) Len() int { return len(s.ids) }
-func (s adjSegment) Less(i, j int) bool {
-	if s.ids[i] != s.ids[j] {
-		return s.ids[i] < s.ids[j]
-	}
-	return s.ws[i] < s.ws[j]
-}
-func (s adjSegment) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
 }
 
 // Transpose returns the graph with every edge reversed.
@@ -282,27 +287,7 @@ func (g *Graph) Transpose() *Graph {
 // perm must be a permutation of [0, n). Edge (u,v) becomes
 // (perm[u], perm[v]); the result is isomorphic to g.
 func (g *Graph) Relabel(perm []VertexID) (*Graph, error) {
-	if len(perm) != g.n {
-		return nil, fmt.Errorf("graph: permutation length %d != n %d", len(perm), g.n)
-	}
-	seen := make([]bool, g.n)
-	for _, p := range perm {
-		if int(p) >= g.n || seen[p] {
-			return nil, fmt.Errorf("graph: perm is not a permutation (value %d)", p)
-		}
-		seen[p] = true
-	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.n; v++ {
-		for i := g.outOff[v]; i < g.outOff[v+1]; i++ {
-			edges = append(edges, Edge{
-				Src:    perm[v],
-				Dst:    perm[g.outDst[i]],
-				Weight: g.outW[i],
-			})
-		}
-	}
-	return FromEdges(g.n, edges, g.weighted)
+	return g.RelabelInto(g.n, perm)
 }
 
 // RelabelInto relabels g into a vertex space of size nNew ≥ n through the

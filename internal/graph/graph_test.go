@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -282,6 +284,36 @@ func TestReadAdjacencyRejectsGarbage(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadAdjacency(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("case %d: expected parse error", i)
+		}
+	}
+}
+
+// TestReadersRejectOutOfRangeInput feeds crafted streams that used to be
+// accepted with silently wrapped values, or that announced sizes far beyond
+// the data they carry; each must fail with an error.
+func TestReadersRejectOutOfRangeInput(t *testing.T) {
+	cases := []struct {
+		name string
+		read func(io.Reader) (*Graph, error)
+		in   string
+	}{
+		{"adjacency weight above int32", ReadAdjacency,
+			"WeightedAdjacencyGraph\n2\n1\n0\n1\n1\n4294967297\n"},
+		{"adjacency weight below int32", ReadAdjacency,
+			"WeightedAdjacencyGraph\n2\n1\n0\n1\n1\n-2147483649\n"},
+		{"adjacency n at 2^32", ReadAdjacency, "AdjacencyGraph\n4294967296\n0\n"},
+		{"adjacency huge n, short stream", ReadAdjacency, "AdjacencyGraph\n4000000000\n0\n0\n"},
+		{"adjacency huge m, short stream", ReadAdjacency, "AdjacencyGraph\n1\n1000000000000\n0\n0\n"},
+		{"adjacency offset past m", ReadAdjacency, "AdjacencyGraph\n2\n1\n0\n2\n0\n"},
+		{"adjacency missing weights", ReadAdjacency, "WeightedAdjacencyGraph\n2\n2\n0\n1\n1\n0\n5\n"},
+		{"edge list source at 2^32", ReadEdgeList, "4294967296 0\n"},
+		{"edge list destination at 2^32+1", ReadEdgeList, "0 4294967297\n"},
+		{"edge list id at 2^32-1", ReadEdgeList, "0 4294967295\n"},
+		{"edge list weight above int32", ReadEdgeList, "0 1 2147483648\n"},
+	}
+	for _, c := range cases {
+		if g, err := c.read(strings.NewReader(c.in)); err == nil {
+			t.Errorf("%s: accepted (n=%d m=%d), want an error", c.name, g.NumVertices(), g.NumEdges())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,6 +25,10 @@ import (
 const (
 	headerAdjacency         = "AdjacencyGraph"
 	headerWeightedAdjacency = "WeightedAdjacencyGraph"
+
+	// maxVertices bounds the vertex count a reader accepts: every ID in
+	// [0, n) must fit a VertexID, and so must n itself.
+	maxVertices = math.MaxUint32
 )
 
 // WriteAdjacency serializes g in (Weighted)AdjacencyGraph format. The CSR
@@ -71,12 +76,12 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 		}
 		return sc.Text(), nil
 	}
-	nextInt := func() (int64, error) {
+	nextInt := func(bitSize int) (int64, error) {
 		tok, err := next()
 		if err != nil {
 			return 0, err
 		}
-		return strconv.ParseInt(tok, 10, 64)
+		return strconv.ParseInt(tok, 10, bitSize)
 	}
 
 	header, err := next()
@@ -91,59 +96,56 @@ func ReadAdjacency(r io.Reader) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown header %q", header)
 	}
-	n64, err := nextInt()
+	n64, err := nextInt(64)
 	if err != nil {
 		return nil, err
 	}
-	m, err := nextInt()
+	m, err := nextInt(64)
 	if err != nil {
 		return nil, err
+	}
+	if n64 < 0 || m < 0 || n64 > maxVertices {
+		return nil, fmt.Errorf("graph: invalid sizes n=%d m=%d", n64, m)
 	}
 	n := int(n64)
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: invalid sizes n=%d m=%d", n, m)
-	}
-	off := make([]int64, n+1)
+	// The header sizes are only claims: every buffer grows as its data
+	// arrives, so a short or lying stream fails with an error instead of
+	// allocating what the header announces.
+	var off []int64
 	for v := 0; v < n; v++ {
-		off[v], err = nextInt()
+		o, err := nextInt(64)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading offset %d: %w", v, err)
 		}
-	}
-	off[n] = m
-	for v := 0; v < n; v++ {
-		if off[v] > off[v+1] || off[v] < 0 {
+		if o < 0 || o > m || (v > 0 && o < off[v-1]) {
 			return nil, fmt.Errorf("graph: non-monotonic offset at vertex %d", v)
 		}
+		off = append(off, o)
 	}
-	edges := make([]Edge, 0, m)
-	dsts := make([]VertexID, m)
+	off = append(off, m)
+	var edges []Edge
 	for i := int64(0); i < m; i++ {
-		d, err := nextInt()
+		d, err := nextInt(64)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading target %d: %w", i, err)
 		}
 		if d < 0 || d >= n64 {
 			return nil, fmt.Errorf("graph: target %d out of range", d)
 		}
-		dsts[i] = VertexID(d)
-	}
-	weights := make([]int32, m)
-	for i := range weights {
-		weights[i] = 1
+		edges = append(edges, Edge{Dst: VertexID(d), Weight: 1})
 	}
 	if weighted {
-		for i := int64(0); i < m; i++ {
-			w, err := nextInt()
+		for i := range edges {
+			w, err := nextInt(32)
 			if err != nil {
 				return nil, fmt.Errorf("graph: reading weight %d: %w", i, err)
 			}
-			weights[i] = int32(w)
+			edges[i].Weight = int32(w)
 		}
 	}
 	for v := 0; v < n; v++ {
 		for i := off[v]; i < off[v+1]; i++ {
-			edges = append(edges, Edge{Src: VertexID(v), Dst: dsts[i], Weight: weights[i]})
+			edges[i].Src = VertexID(v)
 		}
 	}
 	return FromEdges(n, edges, weighted)
@@ -197,8 +199,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 		}
-		if s < 0 || d < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+		if s < 0 || d < 0 || s >= maxVertices || d >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex id out of range [0, %d)", lineNo, int64(maxVertices))
 		}
 		w := int64(1)
 		if len(fields) >= 3 {

@@ -12,8 +12,8 @@ import (
 // broke its order); copied edges are block memcpy — untouched rows, and the
 // unchanged entries of remap-only rows, including rows that merely
 // relocated to a new index — an order of magnitude cheaper per edge than
-// building a graph from scratch (which counting-sorts and scatters every
-// edge twice).
+// building a graph from scratch (which buckets every edge by source, then
+// transposes all of them twice).
 type PatchStats struct {
 	RowsMerged    int   // dirty CSR rows + dirty CSC rows rebuilt via merge
 	RowsRemapped  int   // rows with at least one entry rewritten, or relocated
@@ -293,4 +293,23 @@ func patchSide(nOld, n int, off []int64, ids []VertexID, ws []int32,
 		st.EdgesMerged += int64(k)
 	}
 	return newOff, newIDs, newWs, nil
+}
+
+// adjSegment sorts one merged or remapped row by (neighbor, weight), the
+// row order FromEdges produces.
+type adjSegment struct {
+	ids []VertexID
+	ws  []int32
+}
+
+func (s adjSegment) Len() int { return len(s.ids) }
+func (s adjSegment) Less(i, j int) bool {
+	if s.ids[i] != s.ids[j] {
+		return s.ids[i] < s.ids[j]
+	}
+	return s.ws[i] < s.ws[j]
+}
+func (s adjSegment) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
 }

@@ -70,7 +70,7 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 	for i, pt := range parts {
 		ranges[i] = engine.Range{Lo: pt.Lo, Hi: pt.Hi}
 	}
-	coos, err := engine.BuildPartitionCOOs(g, ranges, cfg.Order, cfg.Engine.Topology.Threads())
+	coos, err := layout.Build(g, parts, cfg.Order, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,10 +97,11 @@ func New(g *graph.Graph, cfg Config) (*GraphGrind, error) {
 // partition's fixed range, so only the grown partitions are dirty. The
 // caller must flag partitions owning a moved or admitted vertex as dirty,
 // and partitions whose COO references a moved source vertex via srcMoved
-// (nil = none). Dirty partitions are rebuilt from g; partitions holding
-// stale source references are remapped — a linear copy with source IDs
-// rewritten through perm — and everything else shares the previous epoch's
-// structures outright, as do the partition ranges and lookup table.
+// (nil = none). Dirty partitions are rebuilt from g in one layout.Build
+// pass, the construction New uses; partitions holding stale source
+// references are remapped — a linear copy with source IDs rewritten through
+// perm — and everything else shares the previous epoch's structures
+// outright, as do the partition ranges and lookup table.
 //
 // Remapped COOs keep their entry order, so a Hilbert- or CSR-ordered COO is
 // no longer strictly sorted at the handful of rewritten entries. Entry
@@ -114,17 +115,17 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMov
 	}
 	parts := make([]partition.Partition, len(gg.parts))
 	coos := make([]*layout.COO, len(gg.coos))
+	rebuild := make([]bool, len(gg.parts))
 	for i, pt := range gg.parts {
+		parts[i] = pt
 		if !dirty(pt.Lo, pt.Hi) {
 			if perm == nil || srcMoved == nil || !srcMoved(pt.Lo, pt.Hi) {
-				parts[i] = pt
 				coos[i] = gg.coos[i]
 				st.PartsReused++
 				st.EdgesReused += pt.Edges
 				continue
 			}
 			if c, rewritten, ok := remapCOO(gg.coos[i], perm); ok {
-				parts[i] = pt
 				coos[i] = c
 				st.PartsRemapped++
 				st.EdgesRemapped += rewritten
@@ -134,18 +135,19 @@ func (gg *GraphGrind) Patch(g *graph.Graph, perm []graph.VertexID, dirty, srcMov
 			// A destination moved inside a partition the caller claimed
 			// clean; rebuild defensively rather than trust the contract.
 		}
-		np := partition.Partition{Lo: pt.Lo, Hi: pt.Hi}
-		for v := pt.Lo; v < pt.Hi; v++ {
-			np.Edges += g.InDegree(v)
+		rebuild[i] = true
+	}
+	built, err := layout.Build(g, parts, gg.cfg.Order, func(i int) bool { return rebuild[i] })
+	if err != nil {
+		return nil, st, err
+	}
+	for i, c := range built {
+		if c != nil {
+			coos[i] = c
+			parts[i].Edges = int64(c.Len())
+			st.PartsRebuilt++
+			st.EdgesRebuilt += parts[i].Edges
 		}
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, gg.cfg.Order)
-		if err != nil {
-			return nil, st, err
-		}
-		parts[i] = np
-		coos[i] = c
-		st.PartsRebuilt++
-		st.EdgesRebuilt += np.Edges
 	}
 	return &GraphGrind{
 		g:      g,

@@ -178,3 +178,74 @@ func TestPatchRebuildsMovedDestination(t *testing.T) {
 	}
 	sameResults(t, got, want)
 }
+
+// TestPatchRebuiltCOOsMatchNew checks, in both edge orders, that Patch's
+// rebuilt partitions hold byte for byte the COOs New builds over the
+// patched graph: after edge churn with no renumbering every partition must
+// equal New's (clean ones are shared unchanged), and after a swap the
+// rebuilt ones must.
+func TestPatchRebuiltCOOsMatchNew(t *testing.T) {
+	const P = 16
+	for _, o := range []layout.Order{layout.CSROrder, layout.HilbertOrder} {
+		rg, bounds, _ := veboFixture(t, P)
+		base := newEngine(t, rg, P, o, bounds)
+		parts := base.Partitions()
+
+		// Churn in partitions 3 and 11: a parallel pair of inserts and the
+		// deletion of an existing in-edge.
+		d3, d11 := parts[3].Lo, parts[11].Hi-1
+		adds := []graph.Edge{
+			{Src: parts[0].Lo, Dst: d3, Weight: 1},
+			{Src: parts[0].Lo, Dst: d3, Weight: 1},
+			{Src: parts[14].Lo, Dst: d11, Weight: 1},
+		}
+		var dels []graph.Edge
+		for v := parts[11].Lo; v < parts[11].Hi && dels == nil; v++ {
+			if src := rg.InNeighbors(v); len(src) > 0 {
+				dels = []graph.Edge{{Src: src[0], Dst: v, Weight: 1}}
+			}
+		}
+		if dels == nil {
+			t.Fatal("fixture partition 11 has no in-edge to delete")
+		}
+		ng, _, err := rg.PatchEdgesN(rg.NumVertices(), adds, dels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := inAny([]graph.VertexID{d3, d11, dels[0].Dst})
+		got, st, err := base.Patch(ng, nil, dirty, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PartsRebuilt != 2 {
+			t.Fatalf("%v: PartsRebuilt = %d, want 2", o, st.PartsRebuilt)
+		}
+		want := newEngine(t, ng, P, o, bounds)
+		if !reflect.DeepEqual(got.coos, want.coos) || !reflect.DeepEqual(got.Partitions(), want.Partitions()) {
+			t.Fatalf("%v: patched COOs differ from New over the patched graph", o)
+		}
+
+		// A swap across partitions 2 and 9: the two rebuilt partitions
+		// must equal New's; remapped ones keep their stale entry order.
+		a, b := parts[2].Lo, parts[9].Lo
+		perm := swapPerm(rg.NumVertices(), a, b)
+		sg, _, err := rg.PatchEdgesPerm(nil, nil, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := inAny([]graph.VertexID{a, b})
+		got, st, err = base.Patch(sg, perm, moved, func(lo, hi graph.VertexID) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = newEngine(t, sg, P, o, bounds)
+		if st.PartsRebuilt != 2 {
+			t.Fatalf("%v: swap PartsRebuilt = %d, want 2", o, st.PartsRebuilt)
+		}
+		for i, pt := range parts {
+			if moved(pt.Lo, pt.Hi) && !reflect.DeepEqual(got.coos[i], want.coos[i]) {
+				t.Fatalf("%v: rebuilt partition %d differs from New's COO", o, i)
+			}
+		}
+	}
+}

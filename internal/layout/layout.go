@@ -1,16 +1,20 @@
-// Package layout materializes COO (coordinate-format) edge arrays in the
-// traversal orders studied in Section V-G of the paper: CSR order (edges
-// sorted by source vertex), CSC/destination order, and Hilbert space-filling
-// curve order. GraphGrind-style engines traverse the COO directly for dense
-// frontiers, so the edge order determines the memory-access pattern.
+// Package layout materializes per-partition COO (coordinate-format) edge
+// arrays in the traversal orders studied in Section V-G of the paper: CSR
+// order (edges sorted by source vertex, then destination) and Hilbert
+// space-filling curve order. GraphGrind-style engines traverse the COO
+// directly for dense frontiers, so the edge order determines the
+// memory-access pattern.
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hilbert"
+	"repro/internal/partition"
 )
 
 // Order selects a COO edge ordering.
@@ -20,9 +24,6 @@ const (
 	// CSROrder sorts edges by (source, destination): the traversal order of
 	// a CSR walk by increasing source ID.
 	CSROrder Order = iota
-	// CSCOrder sorts edges by (destination, source): the traversal order of
-	// a CSC walk by increasing destination ID.
-	CSCOrder
 	// HilbertOrder sorts edges by their position along the Hilbert curve
 	// over the (source, destination) grid.
 	HilbertOrder
@@ -32,8 +33,6 @@ func (o Order) String() string {
 	switch o {
 	case CSROrder:
 		return "csr"
-	case CSCOrder:
-		return "csc"
 	case HilbertOrder:
 		return "hilbert"
 	default:
@@ -46,116 +45,129 @@ type COO struct {
 	Src, Dst []graph.VertexID
 	Weight   []int32
 	Ordering Order
-
-	keys []uint64 // scratch Hilbert keys, non-nil only during sorting
 }
 
 // Len returns the number of edges.
 func (c *COO) Len() int { return len(c.Src) }
 
-// Build materializes g's edges as a COO in the requested order.
-func Build(g *graph.Graph, o Order) (*COO, error) {
-	m := int(g.NumEdges())
-	c := &COO{
-		Src:      make([]graph.VertexID, 0, m),
-		Dst:      make([]graph.VertexID, 0, m),
-		Weight:   make([]int32, 0, m),
-		Ordering: o,
-	}
-	// Start from CSC order (destination-major) since engines partition by
-	// destination; re-sort as requested.
-	for v := 0; v < g.NumVertices(); v++ {
-		ws := g.InWeights(graph.VertexID(v))
-		for i, s := range g.InNeighbors(graph.VertexID(v)) {
-			c.Src = append(c.Src, s)
-			c.Dst = append(c.Dst, graph.VertexID(v))
-			c.Weight = append(c.Weight, ws[i])
-		}
-	}
-	switch o {
-	case CSCOrder:
-		// already destination-major with ascending sources within a
-		// destination
-	case CSROrder:
-		c.sortBy(func(i, j int) bool {
-			if c.Src[i] != c.Src[j] {
-				return c.Src[i] < c.Src[j]
-			}
-			return c.Dst[i] < c.Dst[j]
-		})
-	case HilbertOrder:
-		k := hilbert.OrderFor(g.NumVertices())
-		keys := make([]uint64, m)
-		for i := range keys {
-			keys[i] = hilbert.XY2D(k, uint32(c.Src[i]), uint32(c.Dst[i]))
-		}
-		c.keys = keys
-		c.sortBy(func(i, j int) bool { return keys[i] < keys[j] })
-		c.keys = nil
-	default:
+// Build materializes one COO per partition, holding the in-edges of the
+// partition's destination range [Lo, Hi) in order o. rebuild selects the
+// partitions to build (nil builds every one); the others are left nil.
+// The ranges of the built partitions must be disjoint. Parallel edges
+// appear in ascending weight order, so a COO is a pure function of its
+// partition's edge multiset.
+//
+// A CSR-order build is one scan of g's out-rows in source order that
+// appends each edge to its destination's partition: the rows are sorted by
+// (destination, weight), so every COO comes out sorted by (source,
+// destination, weight) in linear time. A Hilbert-order build walks each
+// partition's in-rows and sorts them by (curve key, weight); the key is a
+// bijection on (source, destination), so weight only breaks ties between
+// parallel edges.
+func Build(g *graph.Graph, parts []partition.Partition, o Order, rebuild func(i int) bool) ([]*COO, error) {
+	if o != CSROrder && o != HilbertOrder {
 		return nil, fmt.Errorf("layout: unknown order %v", o)
 	}
-	return c, nil
-}
-
-// BuildRange materializes the in-edges of the destination range [lo, hi) in
-// the requested order. GraphGrind builds one COO per partition.
-func BuildRange(g *graph.Graph, lo, hi graph.VertexID, o Order) (*COO, error) {
-	if lo > hi || int(hi) > g.NumVertices() {
-		return nil, fmt.Errorf("layout: invalid range [%d,%d)", lo, hi)
-	}
-	c := &COO{Ordering: o}
-	for v := lo; v < hi; v++ {
-		ws := g.InWeights(v)
-		for i, s := range g.InNeighbors(v) {
-			c.Src = append(c.Src, s)
-			c.Dst = append(c.Dst, v)
-			c.Weight = append(c.Weight, ws[i])
+	n := g.NumVertices()
+	inOff := g.InOffsets()
+	coos := make([]*COO, len(parts))
+	built := 0
+	for i, pt := range parts {
+		if pt.Lo > pt.Hi || int(pt.Hi) > n {
+			return nil, fmt.Errorf("layout: invalid range [%d,%d)", pt.Lo, pt.Hi)
 		}
+		if rebuild != nil && !rebuild(i) {
+			continue
+		}
+		m := inOff[pt.Hi] - inOff[pt.Lo]
+		if m > math.MaxUint32 {
+			return nil, fmt.Errorf("layout: partition %d has %d edges, more than a COO indexes", i, m)
+		}
+		coos[i] = &COO{
+			Src:      make([]graph.VertexID, m),
+			Dst:      make([]graph.VertexID, m),
+			Weight:   make([]int32, m),
+			Ordering: o,
+		}
+		built++
 	}
-	switch o {
-	case CSCOrder:
-	case CSROrder:
-		c.sortBy(func(i, j int) bool {
-			if c.Src[i] != c.Src[j] {
-				return c.Src[i] < c.Src[j]
+	if built == 0 {
+		return coos, nil
+	}
+	if o == HilbertOrder {
+		buildHilbert(g, parts, coos)
+		return coos, nil
+	}
+
+	// owner maps a destination to its built partition (-1: none), and
+	// fill[i] counts the entries of coos[i] written so far.
+	owner := make([]int32, n)
+	for v := range owner {
+		owner[v] = -1
+	}
+	for i, c := range coos {
+		if c == nil {
+			continue
+		}
+		for v := parts[i].Lo; v < parts[i].Hi; v++ {
+			if owner[v] >= 0 {
+				return nil, fmt.Errorf("layout: partitions %d and %d overlap at vertex %d", owner[v], i, v)
 			}
-			return c.Dst[i] < c.Dst[j]
-		})
-	case HilbertOrder:
-		k := hilbert.OrderFor(g.NumVertices())
-		keys := make([]uint64, c.Len())
-		for i := range keys {
-			keys[i] = hilbert.XY2D(k, uint32(c.Src[i]), uint32(c.Dst[i]))
+			owner[v] = int32(i)
 		}
-		c.keys = keys
-		c.sortBy(func(i, j int) bool { return keys[i] < keys[j] })
-		c.keys = nil
-	default:
-		return nil, fmt.Errorf("layout: unknown order %v", o)
 	}
-	return c, nil
-}
-
-type cooSorter struct {
-	c    *COO
-	less func(i, j int) bool
-}
-
-func (s cooSorter) Len() int           { return s.c.Len() }
-func (s cooSorter) Less(i, j int) bool { return s.less(i, j) }
-func (s cooSorter) Swap(i, j int) {
-	c := s.c
-	c.Src[i], c.Src[j] = c.Src[j], c.Src[i]
-	c.Dst[i], c.Dst[j] = c.Dst[j], c.Dst[i]
-	c.Weight[i], c.Weight[j] = c.Weight[j], c.Weight[i]
-	if c.keys != nil {
-		c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
+	fill := make([]int64, len(coos))
+	for s := 0; s < n; s++ {
+		src := graph.VertexID(s)
+		ws := g.OutWeights(src)
+		for j, d := range g.OutNeighbors(src) {
+			p := owner[d]
+			if p < 0 {
+				continue
+			}
+			c, k := coos[p], fill[p]
+			c.Src[k], c.Dst[k], c.Weight[k] = src, d, ws[j]
+			fill[p] = k + 1
+		}
 	}
+	return coos, nil
 }
 
-// keys is scratch space used while sorting by Hilbert index.
-// It is nil outside Build/BuildRange.
-func (c *COO) sortBy(less func(i, j int) bool) {
-	sort.Stable(cooSorter{c: c, less: less})
+// buildHilbert fills every non-nil coos[i] with parts[i]'s in-edges in
+// (Hilbert key, weight) order. Entries name an in-edge by its position in
+// the partition's in-rows: parallel edges sit there adjacent in ascending
+// weight order, so breaking key ties by position orders them by weight.
+func buildHilbert(g *graph.Graph, parts []partition.Partition, coos []*COO) {
+	type entry struct {
+		key uint64
+		dst graph.VertexID
+		pos uint32 // in-edge offset from the partition's first in-edge
+	}
+	k := hilbert.OrderFor(g.NumVertices())
+	inOff, inSrc := g.InOffsets(), g.InEdgeSources()
+	var ents []entry
+	for i, c := range coos {
+		if c == nil {
+			continue
+		}
+		lo, hi := parts[i].Lo, parts[i].Hi
+		base := inOff[lo]
+		ents = slices.Grow(ents[:0], c.Len())
+		for d := lo; d < hi; d++ {
+			for e := inOff[d]; e < inOff[d+1]; e++ {
+				ents = append(ents, entry{hilbert.XY2D(k, inSrc[e], d), d, uint32(e - base)})
+			}
+		}
+		slices.SortFunc(ents, func(a, b entry) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		for j, e := range ents {
+			pos := base + int64(e.pos)
+			c.Src[j], c.Dst[j] = inSrc[pos], e.dst
+			c.Weight[j] = g.InWeights(e.dst)[pos-inOff[e.dst]]
+		}
+	}
 }

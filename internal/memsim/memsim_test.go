@@ -263,13 +263,9 @@ func TestSummarizeSkipsIdleThreads(t *testing.T) {
 
 func buildCOOs(t *testing.T, g *graph.Graph, parts []partition.Partition, o layout.Order) []*layout.COO {
 	t.Helper()
-	coos := make([]*layout.COO, len(parts))
-	for i, pt := range parts {
-		c, err := layout.BuildRange(g, pt.Lo, pt.Hi, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coos[i] = c
+	coos, err := layout.Build(g, parts, o, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return coos
 }
