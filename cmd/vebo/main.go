@@ -10,8 +10,9 @@
 // balance and the new ID of the tracked vertex.
 //
 // The stream subcommand replays a synthetic edge-update stream against a
-// workload recipe graph through the dynamic subsystem (internal/dynamic),
-// reporting maintenance work and the final balance next to a full reorder:
+// workload recipe graph through the dynamic-graph facade (IngestBatch, the
+// one admission path), reporting maintenance work and the final balance
+// next to a full reorder:
 //
 //	vebo stream -recipe powerlaw -scale 0.2 -ops 100000 -batch 1024 -p 64
 //
@@ -92,24 +93,21 @@ func runStream(args []string) error {
 		*recipe, g.NumVertices(), g.NumEdges(), len(updates))
 
 	start := time.Now()
-	d, err := dynamic.New(g, dynamic.Config{
+	d, err := vebo.NewDynamic(g, vebo.DynamicOptions{
 		Partitions: *parts, RebuildThreshold: *threshold, CompactEvery: *compactEvery,
-		AutoGrow: *grow > 0,
 	})
 	if err != nil {
 		return err
 	}
+	edge, vert := d.Imbalance()
 	fmt.Printf("initial ordering in %v: Δ(n)=%d δ(n)=%d over %d partitions\n",
-		time.Since(start).Round(time.Millisecond), d.EdgeImbalance(), d.VertexImbalance(), *parts)
+		time.Since(start).Round(time.Millisecond), edge, vert, *parts)
 
+	xups := vebo.IdentityExternal(updates)
 	start = time.Now()
 	batches := 0
-	for lo := 0; lo < len(updates); lo += *batch {
-		hi := lo + *batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+	for lo := 0; lo < len(xups); lo += *batch {
+		if _, err := d.IngestBatch(xups[lo:min(lo+*batch, len(xups))]); err != nil {
 			return err
 		}
 		batches++
@@ -130,12 +128,12 @@ func runStream(args []string) error {
 		fmt.Printf("admitted %d vertices (n now %d); headroom %d/%d slots occupied, %d relabeling spills\n",
 			st.Admitted, d.NumVertices(), capacity-free, capacity, st.HeadroomSpills)
 	}
-	fmt.Printf("final Δ(n)=%d δ(n)=%d, live edges %d\n",
-		d.EdgeImbalance(), d.VertexImbalance(), d.NumEdges())
+	snap := d.Snapshot()
+	edge, vert = d.Imbalance()
+	fmt.Printf("final Δ(n)=%d δ(n)=%d, live edges %d\n", edge, vert, snap.NumEdges())
 
 	// Compare against a from-scratch reorder of the post-stream graph.
 	start = time.Now()
-	snap := d.Snapshot()
 	scratch, err := core.Reorder(snap, *parts, core.Options{})
 	if err != nil {
 		return err
@@ -159,7 +157,6 @@ func runServe(args []string) error {
 	alg := fs.String("alg", "pagerank", "query workload: pagerank, bfs, cc or bc")
 	system := fs.String("system", "graphgrind", "framework model serving queries: ligra, polymer or graphgrind")
 	threshold := fs.Int64("threshold", 0, "Δ(n) maintenance threshold (0: default, scaled adaptively with the degree spread)")
-	vthreshold := fs.Int64("vthreshold", 0, "δ(n) maintenance threshold (0: default)")
 	grow := fs.Float64("grow", 0, "per-insertion vertex-arrival probability (new vertices are admitted on the fly)")
 	noreuse := fs.Bool("noreuse", false, "rebuild engines from scratch every epoch instead of patching")
 	pace := fs.Duration("pace", 0, "delay between ingestion batches (0: ingest at full speed)")
@@ -175,8 +172,8 @@ func runServe(args []string) error {
 	if *batch < 1 || *ops < 0 || *parts < 1 || *queriers < 1 {
 		return fmt.Errorf("serve: -batch, -p and -queriers must be positive, -ops non-negative")
 	}
-	if *threshold < 0 || *vthreshold < 0 {
-		return fmt.Errorf("serve: -threshold and -vthreshold must be non-negative (0: default)")
+	if *threshold < 0 {
+		return fmt.Errorf("serve: -threshold must be non-negative (0: default)")
 	}
 	var sys vebo.System
 	switch strings.ToLower(*system) {
@@ -204,15 +201,14 @@ func runServe(args []string) error {
 		*recipe, g.NumVertices(), g.NumEdges(), len(updates))
 
 	d, err := vebo.NewDynamic(g, vebo.DynamicOptions{
-		Partitions:             *parts,
-		RebuildThreshold:       *threshold,
-		VertexRebuildThreshold: *vthreshold,
-		AutoGrow:               *grow > 0,
-		DisableViewReuse:       *noreuse,
+		Partitions:       *parts,
+		RebuildThreshold: *threshold,
+		DisableViewReuse: *noreuse,
 	})
 	if err != nil {
 		return err
 	}
+	xups := vebo.IdentityExternal(updates)
 
 	// Observability endpoints: the dynamic graph's registry and spans plus
 	// the standard pprof handlers, on an ephemeral port by default.
@@ -320,18 +316,15 @@ func runServe(args []string) error {
 	start := time.Now()
 	batches, ingested := 0, 0
 	interrupted := false
-	for lo := 0; lo < len(updates) && !interrupted; lo += *batch {
+	for lo := 0; lo < len(xups) && !interrupted; lo += *batch {
 		select {
 		case <-ctx.Done():
 			interrupted = true
 			continue
 		default:
 		}
-		hi := lo + *batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		hi := min(lo+*batch, len(xups))
+		if _, err := d.IngestBatch(xups[lo:hi]); err != nil {
 			close(done)
 			wg.Wait()
 			return err

@@ -43,8 +43,8 @@ func TestDynamicFacadePipeline(t *testing.T) {
 		t.Fatalf("stats recorded %d updates, want %d", st.Updates, len(updates))
 	}
 	// Negative maintenance settings are rejected, not taken literally.
-	if _, err := NewDynamic(g, DynamicOptions{VertexRebuildThreshold: -1}); err == nil {
-		t.Fatal("NewDynamic accepted a negative VertexRebuildThreshold")
+	if _, err := NewDynamic(g, DynamicOptions{RebuildThreshold: -1}); err == nil {
+		t.Fatal("NewDynamic accepted a negative RebuildThreshold")
 	}
 }
 

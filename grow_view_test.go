@@ -1,6 +1,7 @@
 package vebo
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DynamicOptions{Partitions: 64, AutoGrow: true, Engine: viewTestOpts}
+	opts := DynamicOptions{Partitions: 64, Engine: viewTestOpts}
 	scratchOpts := opts
 	scratchOpts.DisableViewReuse = true
 	dp, err := NewDynamic(g, opts)
@@ -33,16 +34,14 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 	const batch = 64
 	growthEpochs := 0
 	n := g.NumVertices()
+	xups := IdentityExternal(updates)
 	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		rp, err := dp.ApplyBatch(updates[lo:hi])
+		hi := min(lo+batch, len(updates))
+		rp, err := dp.IngestBatch(xups[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := ds.ApplyBatch(updates[lo:hi])
+		rs, err := ds.IngestBatch(xups[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,23 +127,24 @@ func TestViewPatchedAcrossGrowthEpochs(t *testing.T) {
 
 // TestViewSnapshotPatchedAcrossGrowth checks the identity-ordering snapshot
 // patch path over a growing vertex space: a patched snapshot equals the
-// scratch materialization at every epoch.
+// scratch materialization at every epoch. The dense GrowFrac stream goes
+// through IngestBatch with identity external IDs, so it also pins the
+// convention the dense-growth callers rely on: the external table stays the
+// identity, and the final snapshot equals a scratch build over the dense
+// replay of the stream.
 func TestViewSnapshotPatchedAcrossGrowth(t *testing.T) {
 	g, updates, err := GenerateStreamOpts("powerlaw", 0.03, 2000, 29, StreamOptions{GrowFrac: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewDynamic(g, DynamicOptions{Partitions: 32, AutoGrow: true, Engine: viewTestOpts})
+	dp, err := NewDynamic(g, DynamicOptions{Partitions: 32, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	xups := IdentityExternal(updates)
 	const batch = 128
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := dp.ApplyBatch(updates[lo:hi]); err != nil {
+	for lo := 0; lo < len(xups); lo += batch {
+		if _, err := dp.IngestBatch(xups[lo:min(lo+batch, len(xups))]); err != nil {
 			t.Fatal(err)
 		}
 		v := dp.View()
@@ -162,6 +162,44 @@ func TestViewSnapshotPatchedAcrossGrowth(t *testing.T) {
 	}
 	if dp.ViewWork().GraphPatches == 0 {
 		t.Fatal("snapshot never took the patch path")
+	}
+
+	v := dp.View()
+	if v.NumVertices() == g.NumVertices() {
+		t.Fatal("stream admitted no vertices")
+	}
+	for i, ext := range v.ExternalIDs() {
+		if ext != uint64(i) {
+			t.Fatalf("ExternalIDs()[%d] = %d, want the identity", i, ext)
+		}
+	}
+	// Dense replay: the base edges, then each insertion appended and each
+	// deletion removing one matching occurrence (weights select among
+	// parallel edges on weighted streams, as in the dynamic subsystem).
+	live := g.Edges()
+	for _, u := range updates {
+		if !u.Del {
+			w := u.Weight
+			if !g.Weighted() || w == 0 {
+				w = 1
+			}
+			live = append(live, Edge{Src: u.Src, Dst: u.Dst, Weight: w})
+			continue
+		}
+		i := slices.IndexFunc(live, func(e Edge) bool {
+			return e.Src == u.Src && e.Dst == u.Dst && (u.Weight == 0 || !g.Weighted() || e.Weight == u.Weight)
+		})
+		if i < 0 {
+			t.Fatalf("dense replay: deletion of absent edge (%d,%d)", u.Src, u.Dst)
+		}
+		live = slices.Delete(live, i, i+1)
+	}
+	want, err := FromEdges(v.NumVertices(), live, g.Weighted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.Equal(v.Snapshot(), want) {
+		t.Fatal("snapshot after identity-external ingest differs from the dense replay")
 	}
 }
 
@@ -261,31 +299,6 @@ func TestIngestBatchExternalIDs(t *testing.T) {
 	}
 }
 
-// TestIngestBatchRejectsMixedAdmission pins the admission-path exclusivity:
-// a vertex admitted by dense AutoGrow has no external ID, so a later
-// IngestBatch must refuse rather than hand its internal ID to a fresh
-// external.
-func TestIngestBatchRejectsMixedAdmission(t *testing.T) {
-	g, err := Generate("powerlaw", 0.02, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 16, AutoGrow: true, Engine: viewTestOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.IngestBatch([]ExternalEdgeUpdate{{Src: 1 << 40, Dst: 0}}); err != nil {
-		t.Fatalf("first ingest should succeed: %v", err)
-	}
-	n := graph.VertexID(d.NumVertices())
-	if _, err := d.ApplyBatch([]EdgeUpdate{{Src: n, Dst: 0}}); err != nil {
-		t.Fatalf("dense AutoGrow admission failed: %v", err)
-	}
-	if _, err := d.IngestBatch([]ExternalEdgeUpdate{{Src: 1 << 41, Dst: 0}}); err == nil {
-		t.Fatal("expected mixed-admission error")
-	}
-}
-
 // TestIngestBatchConcurrentResolve races reader-side Resolve/External
 // against writer-side external ingest (meaningful under -race): views
 // published before the first IngestBatch must answer safely while the
@@ -350,20 +363,16 @@ func TestGrowthEpochSkipsRelabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 32, AutoGrow: true, Engine: viewTestOpts,
-		RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true,
+		Partitions: 32, Engine: viewTestOpts,
+		RebuildThreshold: 1 << 40, DisableAdaptiveThreshold: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	xups := IdentityExternal(updates)
 	const batch = 128
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+	for lo := 0; lo < len(xups); lo += batch {
+		if _, err := d.IngestBatch(xups[lo:min(lo+batch, len(xups))]); err != nil {
 			t.Fatal(err)
 		}
 		// Materialize the epoch's engine so the patch-vs-rebuild decision is
@@ -398,7 +407,7 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DynamicOptions{
-		Partitions: 16, AutoGrow: true, Engine: viewTestOpts,
+		Partitions: 16, Engine: viewTestOpts,
 		MinHeadroom: 1, HeadroomFrac: -1,
 	}
 	scratchOpts := opts
@@ -414,16 +423,14 @@ func TestViewPatchedAcrossHeadroomSpills(t *testing.T) {
 	const batch = 64
 	growthEpochs := 0
 	n := g.NumVertices()
+	xups := IdentityExternal(updates)
 	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		rp, err := dp.ApplyBatch(updates[lo:hi])
+		hi := min(lo+batch, len(updates))
+		rp, err := dp.IngestBatch(xups[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds.ApplyBatch(updates[lo:hi]); err != nil {
+		if _, err := ds.IngestBatch(xups[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 		if rp.Admitted > 0 {

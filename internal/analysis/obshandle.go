@@ -20,8 +20,9 @@ import (
 // pairs. The staleness-plane series additionally carry a pinned contract:
 // vebo_epoch_age_ns and vebo_publish_lag_ns are unlabeled histograms,
 // vebo_delta_backlog an unlabeled gauge, vebo_query_ns a histogram labeled
-// exactly {alg, sys} — serve's [stats] line, the facade's obs integration
-// tests and the baseline gate all read these series by that shape.
+// exactly {alg, sys}, vebo_spans_dropped_total an unlabeled counter —
+// serve's [stats] line, the facade's obs integration tests and the baseline
+// gate all read these series by that shape.
 //
 // The obs package itself (and its tests) is exempt from the literal rule:
 // it is the one place allowed to build handles by hand.
@@ -48,10 +49,11 @@ var metricContracts = map[string]struct {
 	kind   string
 	labels []string // sorted; nil means "no labels"
 }{
-	"vebo_epoch_age_ns":   {kind: "Histogram"},
-	"vebo_publish_lag_ns": {kind: "Histogram"},
-	"vebo_delta_backlog":  {kind: "Gauge"},
-	"vebo_query_ns":       {kind: "Histogram", labels: []string{"alg", "sys"}},
+	"vebo_epoch_age_ns":        {kind: "Histogram"},
+	"vebo_publish_lag_ns":      {kind: "Histogram"},
+	"vebo_delta_backlog":       {kind: "Gauge"},
+	"vebo_query_ns":            {kind: "Histogram", labels: []string{"alg", "sys"}},
+	"vebo_spans_dropped_total": {kind: "Counter"},
 }
 
 func isObsPath(path string) bool {

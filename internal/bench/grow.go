@@ -91,19 +91,15 @@ func Grow(cfg Config) error {
 		ThreadsPerSocket: cfg.Topology.ThreadsPerSocket,
 	}
 	// Same three configurations as the view experiment, all admitting
-	// vertices on demand: placement frozen (maximum reuse), scratch rebuilds
-	// (the baseline the ratios divide by), and default-threshold maintenance
-	// (repairs, re-sorts and growth all active at once).
-	stable := vebo.DynamicOptions{
-		Partitions:             64,
-		RebuildThreshold:       1 << 40,
-		VertexRebuildThreshold: 1 << 40,
-		AutoGrow:               true,
-		Engine:                 engOpts,
-	}
+	// vertices through IngestBatch: placement frozen (maximum reuse),
+	// scratch rebuilds (the baseline the ratios divide by), and
+	// default-threshold maintenance (repairs, re-sorts and growth all active
+	// at once).
+	stable := vebo.DynamicOptions{Partitions: 64, RebuildThreshold: 1 << 40, Engine: engOpts}
 	scratch := stable
 	scratch.DisableViewReuse = true
-	maintained := vebo.DynamicOptions{Partitions: 64, AutoGrow: true, Engine: engOpts}
+	maintained := vebo.DynamicOptions{Partitions: 64, Engine: engOpts}
+	xups := vebo.IdentityExternal(updates)
 
 	type row struct {
 		name    string
@@ -116,12 +112,9 @@ func Grow(cfg Config) error {
 		if err != nil {
 			return row{}, err
 		}
-		for lo := 0; lo < len(updates); lo += growBatch {
-			hi := lo + growBatch
-			if hi > len(updates) {
-				hi = len(updates)
-			}
-			if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		for lo := 0; lo < len(xups); lo += growBatch {
+			hi := min(lo+growBatch, len(xups))
+			if _, err := d.IngestBatch(xups[lo:hi]); err != nil {
 				return row{}, err
 			}
 			v := d.View()

@@ -72,12 +72,11 @@ func Refine(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		d, err := vebo.NewDynamic(g, vebo.DynamicOptions{
-			Partitions: 64, AutoGrow: true, Engine: engOpts,
-		})
+		d, err := vebo.NewDynamic(g, vebo.DynamicOptions{Partitions: 64, Engine: engOpts})
 		if err != nil {
 			return err
 		}
+		xups := vebo.IdentityExternal(updates)
 		c := config{
 			batch:   batch,
 			refined: map[string]*cell{"bfs": {}, "pagerank": {}},
@@ -86,12 +85,9 @@ func Refine(cfg Config) error {
 			totalOp: len(updates),
 		}
 		epoch := 0
-		for lo := 0; lo < len(updates); lo += batch {
-			hi := lo + batch
-			if hi > len(updates) {
-				hi = len(updates)
-			}
-			if _, err := d.ApplyBatch(updates[lo:hi]); err != nil {
+		for lo := 0; lo < len(xups); lo += batch {
+			hi := min(lo+batch, len(xups))
+			if _, err := d.IngestBatch(xups[lo:hi]); err != nil {
 				return err
 			}
 			v := d.View()

@@ -54,12 +54,7 @@ func View(cfg Config) error {
 	// almost every batch: patching must keep applying across those repair
 	// epochs (work ratio > 1×), which is the property the quick/CI mode
 	// enforces.
-	stable := vebo.DynamicOptions{
-		Partitions:             64,
-		RebuildThreshold:       1 << 40,
-		VertexRebuildThreshold: 1 << 40,
-		Engine:                 engOpts,
-	}
+	stable := vebo.DynamicOptions{Partitions: 64, RebuildThreshold: 1 << 40, Engine: engOpts}
 	scratch := stable
 	scratch.DisableViewReuse = true
 	maintained := vebo.DynamicOptions{Partitions: 64, Engine: engOpts}

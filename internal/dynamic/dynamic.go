@@ -19,8 +19,8 @@
 //     update, so the tracked edge imbalance Δ(n) and vertex imbalance δ(n)
 //     are always available without touching the graph.
 //
-//   - Incremental ordering maintenance, gated on the imbalances. The gate
-//     (Δ(n) over the effective rebuild threshold, which scales with the
+//   - Incremental ordering maintenance, gated on the edge imbalance. The
+//     gate (Δ(n) over the effective rebuild threshold, which scales with the
 //     graph's degree granularity unless disabled) triggers the
 //     placement-preserving swap repair: a vertex of the most-loaded
 //     partition trades places — partition AND new ID — with a lower-degree
@@ -28,16 +28,20 @@
 //     segment boundaries of the ordering, and the new IDs of every unmoved
 //     vertex are all invariant. When no improving pair exists, a three-way
 //     rotation through an intermediate partition is tried before giving up.
-//     If the repair cannot pull the imbalances back under their thresholds
-//     the subsystem falls back to a full core.ReorderDegrees rebuild. A
-//     background re-sort additionally
-//     restores the degree-descending order inside one partition segment
-//     after each batch whose repairs or admissions disturbed it.
+//     If the repair cannot pull Δ(n) back under the gate the subsystem
+//     falls back to a full core.ReorderDegrees rebuild. The vertex
+//     imbalance δ(n) is tracked but not gated: swaps and rotations are
+//     1-for-1 and admissions go to the fewest-vertex partition with free
+//     headroom, so δ(n) keeps the balance the ordering was built with, and
+//     a degree sequence that pins δ(n) high (few heavy vertices) pins it
+//     for a rebuild too. A background re-sort additionally restores the
+//     degree-descending order inside one partition segment after each
+//     batch whose repairs disturbed it.
 //
-//   - A growable vertex space. Grow (and AutoGrow, for dense-ID streams;
-//     see Allocator for sparse external IDs) admits zero-degree vertices to
-//     the least-vertex partitions, filling reserved headroom slots at each
-//     partition segment's tail: internal IDs are append-only, the cached
+//   - A growable vertex space. Grow (and AdmitAndApply, which the facade's
+//     external-ID ingest drives through an Allocator) admits zero-degree
+//     vertices to the least-vertex partitions, filling reserved headroom
+//     slots at each partition segment's tail: internal IDs are append-only, the cached
 //     ordering is extended in place (the first admission in a lineage
 //     converts it to slotted form with amortized per-segment headroom), and
 //     the numbering lineage (RenumEpoch) is preserved with an identity
@@ -78,19 +82,12 @@ type Config struct {
 	// RebuildThreshold is the Δ(n) value above which maintenance runs: first
 	// the incremental swap repair, which keeps per-partition vertex counts —
 	// and therefore the partition segment boundaries of the ordering —
-	// fixed, then — if an imbalance is still above its threshold — a full
-	// reorder.
+	// fixed, then — if Δ(n) is still above the threshold — a full reorder.
 	// Default 2, the paper's power-law bound (Theorem 1 gives Δ ≤ 1; one
 	// in-flight batch may add one more). Unless DisableAdaptiveThreshold is
 	// set, the effective threshold additionally scales with the graph's
 	// degree spread: see EffectiveRebuildThreshold.
 	RebuildThreshold int64
-	// VertexRebuildThreshold is the δ(n) value above which maintenance runs.
-	// Default 4 (2× Theorem 2's δ ≤ ~1 static bound, with slack for
-	// in-flight batches). Swap repairs are 1-for-1 exchanges, so δ(n) is
-	// frozen at its initial value and this gate never fires between full
-	// rebuilds.
-	VertexRebuildThreshold int64
 	// CompactEvery bounds the delta log: once the number of pending
 	// insertions plus pending deletions reaches it, ApplyBatch compacts the
 	// log into a fresh base graph. 0 selects an adaptive bound,
@@ -104,12 +101,6 @@ type Config struct {
 	// graphs (usaroad) a fixed threshold below that granularity forces a
 	// futile full rebuild every batch. Exists for the adaptivity ablation.
 	DisableAdaptiveThreshold bool
-	// AutoGrow admits vertices on demand: an insertion whose endpoint is at
-	// or beyond the current vertex count grows the vertex space (via Grow)
-	// up to that endpoint instead of failing the batch. Internal IDs are
-	// dense, so callers feeding sparse external IDs should map them through
-	// an Allocator first; deletions never grow.
-	AutoGrow bool
 	// MinHeadroom is the minimum number of reserved admission slots per
 	// partition segment in a slotted ordering (default 4). Once the vertex
 	// space starts growing, every full ordering sort reserves
@@ -144,9 +135,6 @@ type Config struct {
 // continuously, and the repair cost scales with P.
 const DefaultPartitions = 64
 
-// DefaultVertexThreshold is the default δ(n) maintenance threshold.
-const DefaultVertexThreshold = 4
-
 // DefaultMinHeadroom and DefaultHeadroomFrac are the default per-segment
 // admission headroom parameters; see Config.MinHeadroom.
 const (
@@ -156,7 +144,7 @@ const (
 
 // validate rejects negative thresholds, compaction bounds and headroom
 // floors: zero selects a default, but a negative value would otherwise be
-// taken literally (a negative δ(n) gate forces a full rebuild every batch).
+// taken literally (a negative Δ(n) gate forces a repair every batch).
 // A negative HeadroomFrac is meaningful and allowed.
 func (c Config) validate() error {
 	for _, f := range [...]struct {
@@ -164,7 +152,6 @@ func (c Config) validate() error {
 		v    int64
 	}{
 		{"RebuildThreshold", c.RebuildThreshold},
-		{"VertexRebuildThreshold", c.VertexRebuildThreshold},
 		{"CompactEvery", int64(c.CompactEvery)},
 		{"MinHeadroom", c.MinHeadroom},
 	} {
@@ -181,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RebuildThreshold == 0 {
 		c.RebuildThreshold = 2
-	}
-	if c.VertexRebuildThreshold == 0 {
-		c.VertexRebuildThreshold = DefaultVertexThreshold
 	}
 	if c.MinHeadroom == 0 {
 		c.MinHeadroom = DefaultMinHeadroom
@@ -245,7 +229,7 @@ type Stats struct {
 	RotationAttempts int64
 	RotationStalls   int64
 	// Admitted is the number of vertices added to the graph after
-	// construction (Grow and AutoGrow admissions).
+	// construction (Grow and AdmitAndApply admissions).
 	Admitted int64
 	// HeadroomSpills is the number of times an admission found every
 	// partition's reserved headroom exhausted and forced a relabeling epoch
@@ -439,7 +423,7 @@ func New(g *graph.Graph, cfg Config) (*Graph, error) {
 	return d, nil
 }
 
-// NumVertices reports the current vertex count; Grow and AutoGrow
+// NumVertices reports the current vertex count; Grow and AdmitAndApply
 // admissions raise it, and internal IDs are append-only (an ID, once
 // assigned, always names the same vertex).
 func (d *Graph) NumVertices() int { return d.n }
@@ -555,22 +539,19 @@ func (d *Graph) normWeight(w int32) int32 {
 
 // ApplyBatch applies the updates in order, maintains the per-partition
 // counters, and runs the threshold-gated ordering maintenance once at the
-// end of the batch. An invalid update (vertex out of range without
-// AutoGrow, deletion of a non-existent edge) stops processing and returns
-// an error; updates before it remain applied. With AutoGrow, insertions
-// mentioning endpoints at or beyond the current vertex count admit the
-// missing dense IDs as zero-degree vertices (see Grow) at the start of the
-// batch — one Grow call covers every arrival, and the admissions stand
-// like any applied update even if a later update aborts the batch.
+// end of the batch. An invalid update (vertex out of range, deletion of a
+// non-existent edge) stops processing and returns an error; updates before
+// it remain applied. ApplyBatch never admits vertices: see AdmitAndApply.
 func (d *Graph) ApplyBatch(updates []graph.EdgeUpdate) (BatchResult, error) {
 	return d.AdmitAndApply(0, updates)
 }
 
 // AdmitAndApply is ApplyBatch preceded by the admission of admit new
 // zero-degree vertices (see Grow) inside the batch: the external-ID ingest
-// path interns its arrivals before the batch and admits them here, so their
-// grow and spill spans parent onto the batch span like AutoGrow's. The
-// admissions stand even if an update aborts the batch.
+// path interns its arrivals before the batch and admits them here — one
+// Grow call claims headroom slots for every arrival — so their grow and
+// spill spans parent onto the batch span. The admissions stand even if an
+// update aborts the batch.
 func (d *Graph) AdmitAndApply(admit int, updates []graph.EdgeUpdate) (BatchResult, error) {
 	start := time.Now()
 	// The batch span is the causal root of this epoch: maintenance spans
@@ -579,27 +560,6 @@ func (d *Graph) AdmitAndApply(admit int, updates []graph.EdgeUpdate) (BatchResul
 	// every return path, error or not.
 	d.curBatch = d.sp.Start("batch", "ingest", d.epoch, obs.SpanContext{})
 	var res BatchResult
-	if d.cfg.AutoGrow {
-		// Admit for the whole batch up front: one Grow call claims headroom
-		// slots for every arrival in the batch (batched per-partition
-		// admission, one grow span and one gauge sync per batch instead of
-		// per out-of-range update). The admissions stand even if a later
-		// update aborts the batch, like any update applied before the
-		// failure.
-		mx := d.n - 1
-		for _, u := range updates {
-			if u.Del {
-				continue
-			}
-			if int(u.Src) > mx {
-				mx = int(u.Src)
-			}
-			if int(u.Dst) > mx {
-				mx = int(u.Dst)
-			}
-		}
-		admit = max(admit, mx+1-d.n)
-	}
 	if admit > 0 {
 		d.Grow(admit)
 		res.Admitted += admit
@@ -620,11 +580,9 @@ func (d *Graph) AdmitAndApply(admit int, updates []graph.EdgeUpdate) (BatchResul
 	return d.finishBatch(res, start), nil
 }
 
-// overThreshold reports whether either tracked imbalance exceeds its
-// maintenance threshold.
+// overThreshold reports whether Δ(n) exceeds the maintenance gate.
 func (d *Graph) overThreshold() bool {
-	return d.EdgeImbalance() > d.effEdgeThreshold() ||
-		d.VertexImbalance() > d.cfg.VertexRebuildThreshold
+	return d.EdgeImbalance() > d.effEdgeThreshold()
 }
 
 // adaptCap bounds the degree histogram used for the granularity quantile;
@@ -709,14 +667,11 @@ func (d *Graph) finishBatch(res BatchResult, start time.Time) BatchResult {
 			"stalled": b2i(stalled),
 		})
 		if d.overThreshold() {
-			// The repair could not pull the imbalances back under their
-			// gates; name why before falling back to the full reorder.
+			// The repair could not pull Δ(n) back under the gate; name why
+			// before falling back to the full reorder.
 			cause, ctr := "repair-shortfall", d.m.rebuildShortfall
-			switch {
-			case stalled:
+			if stalled {
 				cause, ctr = "rotation-stall", d.m.rebuildRotStall
-			case d.VertexImbalance() > d.cfg.VertexRebuildThreshold:
-				cause, ctr = "vertex-threshold", d.m.rebuildVertex
 			}
 			d.rebuild(cause, ctr)
 			res.Rebuilt = true
@@ -1729,7 +1684,7 @@ type dynMetrics struct {
 	batches, inserts, deletes       *obs.Counter
 	repairs, swaps, rotations       *obs.Counter
 	rotAttempts, rotStalls          *obs.Counter
-	rebuildRotStall, rebuildVertex  *obs.Counter
+	rebuildRotStall                 *obs.Counter
 	rebuildShortfall, rebuildForced *obs.Counter
 	resorts, compactions            *obs.Counter
 	admitted, headroomSpills        *obs.Counter
@@ -1760,7 +1715,6 @@ func newDynMetrics(r *obs.Registry, p int) dynMetrics {
 		rotAttempts:      r.Counter("vebo_rotation_search_total", "result", "attempt"),
 		rotStalls:        r.Counter("vebo_rotation_search_total", "result", "stall"),
 		rebuildRotStall:  r.Counter("vebo_rebuilds_total", "cause", "rotation-stall"),
-		rebuildVertex:    r.Counter("vebo_rebuilds_total", "cause", "vertex-threshold"),
 		rebuildShortfall: r.Counter("vebo_rebuilds_total", "cause", "repair-shortfall"),
 		rebuildForced:    r.Counter("vebo_rebuilds_total", "cause", "forced"),
 		resorts:          r.Counter("vebo_resorts_total"),

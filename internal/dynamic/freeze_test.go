@@ -80,7 +80,7 @@ func BenchmarkFreeze(b *testing.B) {
 				b.Fatal(err)
 			}
 			d, err := New(g, Config{Partitions: 16, CompactEvery: 1 << 30,
-				RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40, DisableAdaptiveThreshold: true})
+				RebuildThreshold: 1 << 40, DisableAdaptiveThreshold: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -106,53 +106,67 @@ func TestGrowOrderingSegmentTails(t *testing.T) {
 	}
 }
 
-// TestAutoGrowApplyBatch checks the dense-ID auto-admission path: inserts
-// mentioning out-of-range endpoints grow the graph, deletions never do, and
-// the snapshot matches a scratch rebuild over the grown space.
-func TestAutoGrowApplyBatch(t *testing.T) {
+// TestAdmitAndApplyGrowth checks the in-batch admission path: AdmitAndApply
+// admits zero-degree vertices before the updates, which may then name them,
+// and the snapshot matches a scratch rebuild over the grown space. ApplyBatch
+// never admits: an out-of-range insert or deletion fails and leaves the
+// vertex count and the mutation epoch unchanged.
+func TestAdmitAndApplyGrowth(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 600, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(g, Config{Partitions: 8, AutoGrow: true})
+	d, err := New(g, Config{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.ApplyBatch([]graph.EdgeUpdate{
-		{Src: 100, Dst: 3},   // one new vertex as source
-		{Src: 4, Dst: 103},   // three more, 101..103
-		{Src: 103, Dst: 100}, // edge between admitted vertices
+	res, err := d.AdmitAndApply(2, []graph.EdgeUpdate{
+		{Src: 100, Dst: 3},   // first new vertex as source
+		{Src: 4, Dst: 101},   // second as destination
+		{Src: 101, Dst: 100}, // edge between admitted vertices
 		{Src: 100, Dst: 3, Del: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Admitted != 4 || d.NumVertices() != 104 {
-		t.Fatalf("admitted %d (n=%d), want 4 (104)", res.Admitted, d.NumVertices())
+	if res.Admitted != 2 || d.NumVertices() != 102 {
+		t.Fatalf("admitted %d (n=%d), want 2 (102)", res.Admitted, d.NumVertices())
 	}
-	want, err := graph.FromEdges(104, append(g.Edges(),
-		graph.Edge{Src: 4, Dst: 103, Weight: 1},
-		graph.Edge{Src: 103, Dst: 100, Weight: 1}), false)
+	want, err := graph.FromEdges(102, append(g.Edges(),
+		graph.Edge{Src: 4, Dst: 101, Weight: 1},
+		graph.Edge{Src: 101, Dst: 100, Weight: 1}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graph.Equal(d.Snapshot(), want) {
-		t.Fatal("snapshot after auto-growth differs from scratch rebuild")
+		t.Fatal("snapshot after admission differs from scratch rebuild")
 	}
-	// Deleting through an out-of-range endpoint must not grow.
-	if _, err := d.ApplyBatch([]graph.EdgeUpdate{{Src: 500, Dst: 0, Del: true}}); err == nil {
-		t.Fatal("expected error for out-of-range deletion")
+	for _, u := range []graph.EdgeUpdate{{Src: 500, Dst: 0}, {Src: 500, Dst: 0, Del: true}} {
+		epoch := d.Epoch()
+		if _, err := d.ApplyBatch([]graph.EdgeUpdate{u}); err == nil {
+			t.Fatalf("expected error for out-of-range update %+v", u)
+		}
+		if d.NumVertices() != 102 || d.Epoch() != epoch {
+			t.Fatalf("out-of-range update %+v changed n to %d, epoch %d -> %d",
+				u, d.NumVertices(), epoch, d.Epoch())
+		}
 	}
-	if d.NumVertices() != 104 {
-		t.Fatalf("deletion grew the graph to %d", d.NumVertices())
-	}
-	// Without AutoGrow, out-of-range inserts still fail.
-	d2, err := New(g, Config{Partitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d2.ApplyBatch([]graph.EdgeUpdate{{Src: 100, Dst: 0}}); err == nil {
-		t.Fatal("expected error without AutoGrow")
+}
+
+// admitStream replays a dense growth stream through AdmitAndApply, admitting
+// per batch the vertices its updates name beyond the current count (growth
+// streams mint arrivals as the next dense IDs).
+func admitStream(t *testing.T, d *Graph, updates []graph.EdgeUpdate, batch int) {
+	t.Helper()
+	for lo := 0; lo < len(updates); lo += batch {
+		ups := updates[lo:min(lo+batch, len(updates))]
+		n := d.NumVertices()
+		for _, u := range ups {
+			n = max(n, int(u.Src)+1, int(u.Dst)+1)
+		}
+		if _, err := d.AdmitAndApply(n-d.NumVertices(), ups); err != nil {
+			t.Fatalf("AdmitAndApply(%d:%d): %v", lo, lo+len(ups), err)
+		}
 	}
 }
 
@@ -171,11 +185,11 @@ func TestGrowStreamSnapshotMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(g, Config{Partitions: 16, AutoGrow: true, CompactEvery: 700})
+	d, err := New(g, Config{Partitions: 16, CompactEvery: 700})
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyStream(t, d, updates, 128)
+	admitStream(t, d, updates, 128)
 	if d.Stats().Admitted == 0 {
 		t.Fatal("stream admitted no vertices; growth not exercised")
 	}
@@ -219,7 +233,7 @@ func TestGrowViewDeltaVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(g, Config{Partitions: 4, AutoGrow: true})
+	d, err := New(g, Config{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +301,6 @@ func TestSwapRepairRotationFallback(t *testing.T) {
 	d, err := New(g, Config{
 		Partitions:               3,
 		RebuildThreshold:         D/2 + 1,
-		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
 	})
 	if err != nil {

@@ -56,7 +56,6 @@ func TestTraceThresholdTrip(t *testing.T) {
 	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               3,
 		RebuildThreshold:         D/2 + 1,
-		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
 	})
 	// Same overload as TestSwapRepairRotationFallback: one coarse-class
@@ -142,7 +141,6 @@ func TestTraceRotationStall(t *testing.T) {
 	d, reg, sp := instrumented(t, g, Config{
 		Partitions:               2,
 		RebuildThreshold:         1,
-		VertexRebuildThreshold:   1 << 40,
 		DisableAdaptiveThreshold: true,
 	})
 	// Pile all new mass on vertex 0: every candidate transfer is 0 or the

@@ -11,16 +11,22 @@ import "net/http"
 //
 // Either argument may be nil (the endpoint then renders empty). A
 // RuntimeSampler is attached to r: each /metrics and /metrics.json scrape
-// refreshes the go_* process-health series before rendering.
+// refreshes the go_* process-health series before rendering, and advances
+// vebo_spans_dropped_total to the span ring's overwrite count (Spans.Dropped).
 func Register(mux *http.ServeMux, r *Registry, s *Spans) {
 	rt := NewRuntimeSampler(r)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	dropped := r.Counter("vebo_spans_dropped_total")
+	sample := func() {
 		rt.Sample()
+		dropped.Raise(int64(s.Dropped()))
+	}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		sample()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		rt.Sample()
+		sample()
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
 	})

@@ -26,6 +26,31 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterRaise checks the monotone sync: Raise never lowers the count,
+// and concurrent raises to the same target land it exactly once.
+func TestCounterRaise(t *testing.T) {
+	c := NewRegistry().Counter("c_total")
+	c.Raise(5)
+	c.Raise(3)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("counter = %d after Raise(5), Raise(3); want 5", got)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Raise(12)
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != 12 {
+		t.Fatalf("counter = %d after concurrent Raise(12), want 12", got)
+	}
+	var nilC *Counter
+	nilC.Raise(1)
+}
+
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total")

@@ -39,6 +39,17 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
+// Raise lifts the count to n when it is below n: the sync for a counter that
+// mirrors an external cumulative count. Concurrent callers never add the
+// same increase twice.
+func (c *Counter) Raise(n int64) {
+	if c == nil {
+		return
+	}
+	for cur := c.v.Load(); n > cur && !c.v.CompareAndSwap(cur, n); cur = c.v.Load() {
+	}
+}
+
 // Value returns the current count (0 on a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // scrape fetches one endpoint off the observability handler.
@@ -176,5 +177,22 @@ func TestObsHandlerLiveScrape(t *testing.T) {
 	}
 	if len(batches) == 0 || !linked {
 		t.Fatalf("/spans holds %d batch spans, publish child retained: %v", len(batches), linked)
+	}
+
+	// Span-ring overwrites surface as vebo_spans_dropped_total, advanced to
+	// the ring's overwrite count on every scrape: none yet on this short
+	// run, then one per span filed past a full ring.
+	if got := metricValue(t, second, "vebo_spans_dropped_total"); got != 0 || d.Spans().Dropped() != 0 {
+		t.Fatalf("vebo_spans_dropped_total = %d before the ring filled (ring dropped %d)", got, d.Spans().Dropped())
+	}
+	for i := 0; i < obs.DefaultSpanCapacity; i++ {
+		d.Spans().Record(obs.Span{Name: "filler", Kind: "test"})
+	}
+	dropped := int64(d.Spans().Dropped())
+	if dropped == 0 {
+		t.Fatal("filling the ring past capacity dropped no spans")
+	}
+	if got := metricValue(t, scrape(t, srv.URL, "/metrics"), "vebo_spans_dropped_total"); got != dropped {
+		t.Fatalf("vebo_spans_dropped_total = %d, want the ring's %d overwrites", got, dropped)
 	}
 }

@@ -18,8 +18,8 @@ func backlogDynamic(tb testing.TB, backlog int) *Dynamic {
 		tb.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 64, RebuildThreshold: 1 << 40, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true, CompactEvery: 1 << 30,
+		Partitions: 64, RebuildThreshold: 1 << 40, DisableAdaptiveThreshold: true,
+		CompactEvery: 1 << 30,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -90,5 +90,41 @@ func BenchmarkPublish(b *testing.B) {
 				d.publish(time.Now())
 			}
 		})
+	}
+}
+
+// BenchmarkIngestBatch times one IngestBatch — the admission path — on
+// 256-update batches of a powerlaw stream with vertex arrivals (GrowFrac
+// 0.02, dense IDs fed as identity externals): interning, in-batch
+// admission, the updates, end-of-batch maintenance and publication. The
+// first batch of each replay (allocator seeding and the lineage's first
+// slotted relabel) and the restart when the stream runs out are untimed.
+func BenchmarkIngestBatch(b *testing.B) {
+	const batch, batches = 256, 64
+	g, updates, err := GenerateStreamOpts("powerlaw", 0.05, batch*(batches+1), 1, StreamOptions{GrowFrac: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xups := IdentityExternal(updates)
+	var d *Dynamic
+	next := len(xups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(xups) {
+			b.StopTimer()
+			if d, err = NewDynamic(g, DynamicOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.IngestBatch(xups[:batch]); err != nil {
+				b.Fatal(err)
+			}
+			next = batch
+			b.StartTimer()
+		}
+		if _, err := d.IngestBatch(xups[next : next+batch]); err != nil {
+			b.Fatal(err)
+		}
+		next += batch
 	}
 }

@@ -120,21 +120,18 @@ func TestRefineMatchesScratchAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDynamic(g, DynamicOptions{Partitions: 64, AutoGrow: true, Engine: viewTestOpts})
+	d, err := NewDynamic(g, DynamicOptions{Partitions: 64, Engine: viewTestOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	xups := IdentityExternal(updates)
 
 	const batch = 256
 	systems := []System{Ligra, Polymer, GraphGrind}
 	growthEpochs, refined := 0, 0
 	epoch := 0
-	for lo := 0; lo < len(updates); lo += batch {
-		hi := lo + batch
-		if hi > len(updates) {
-			hi = len(updates)
-		}
-		r, err := d.ApplyBatch(updates[lo:hi])
+	for lo := 0; lo < len(xups); lo += batch {
+		r, err := d.IngestBatch(xups[lo:min(lo+batch, len(xups))])
 		if err != nil {
 			t.Fatal(err)
 		}

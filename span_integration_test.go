@@ -120,12 +120,17 @@ func TestSpanVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDynamic(g, DynamicOptions{
-		Partitions: 16, AutoGrow: true, CompactEvery: 512, MinHeadroom: 1, HeadroomFrac: -1,
+		Partitions: 16, CompactEvery: 512, MinHeadroom: 1, HeadroomFrac: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyStream(t, d, updates, 256)
+	xups := IdentityExternal(updates)
+	for lo := 0; lo < len(xups); lo += 256 {
+		if _, err := d.IngestBatch(xups[lo:min(lo+256, len(xups))]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	v := d.View()
 	if _, err := v.BFS(GraphGrind, 0); err != nil {
 		t.Fatal(err)
@@ -145,8 +150,7 @@ func TestSpanVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd, err := NewDynamic(sg, DynamicOptions{
-		Partitions: 2, RebuildThreshold: 1, VertexRebuildThreshold: 1 << 40,
-		DisableAdaptiveThreshold: true,
+		Partitions: 2, RebuildThreshold: 1, DisableAdaptiveThreshold: true,
 	})
 	if err != nil {
 		t.Fatal(err)

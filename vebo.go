@@ -238,9 +238,6 @@ type DynamicOptions struct {
 	Partitions int
 	// RebuildThreshold is the Δ(n) above which maintenance runs (default 2).
 	RebuildThreshold int64
-	// VertexRebuildThreshold is the δ(n) above which maintenance runs
-	// (default 4); see internal/dynamic.Config.
-	VertexRebuildThreshold int64
 	// CompactEvery bounds the delta log before compaction (default:
 	// adaptive, max(8192, liveEdges/8)).
 	CompactEvery int
@@ -248,14 +245,6 @@ type DynamicOptions struct {
 	// instead of scaling it with the degree spread; see
 	// internal/dynamic.Config.
 	DisableAdaptiveThreshold bool
-	// AutoGrow admits vertices on demand: an inserted edge whose endpoint
-	// is at or beyond the current vertex count grows the vertex space with
-	// zero-degree vertices (assigned to the least-loaded partitions)
-	// instead of failing the batch. Set it for dense-ID ApplyBatch streams
-	// that introduce vertices; sparse external IDs go through IngestBatch
-	// instead, which admits unseen vertices itself — the two admission
-	// paths cannot be mixed on one Dynamic (see IngestBatch).
-	AutoGrow bool
 	// MinHeadroom is the floor on the growth headroom reserved at each
 	// partition segment's tail whenever an ordering is (re)built while the
 	// graph is growing (default 4). Admissions fill these pre-reserved
@@ -321,10 +310,8 @@ func NewDynamic(g *Graph, opts DynamicOptions) (*Dynamic, error) {
 	inner, err := dynamic.New(g, dynamic.Config{
 		Partitions:               opts.Partitions,
 		RebuildThreshold:         opts.RebuildThreshold,
-		VertexRebuildThreshold:   opts.VertexRebuildThreshold,
 		CompactEvery:             opts.CompactEvery,
 		DisableAdaptiveThreshold: opts.DisableAdaptiveThreshold,
-		AutoGrow:                 opts.AutoGrow,
 		MinHeadroom:              opts.MinHeadroom,
 		HeadroomFrac:             opts.HeadroomFrac,
 		Metrics:                  reg,
@@ -378,7 +365,10 @@ func (d *Dynamic) ObsHandler() http.Handler { return obs.Handler(d.reg, d.spans)
 
 // ApplyBatch applies the updates in order, runs the threshold-gated
 // incremental ordering maintenance at the end of the batch, and publishes a
-// fresh View of the post-batch epoch. Single-writer.
+// fresh View of the post-batch epoch. Every endpoint must be below
+// NumVertices: an out-of-range update fails the batch (see internal/dynamic
+// Graph.ApplyBatch), and new vertices enter only through IngestBatch.
+// Single-writer.
 func (d *Dynamic) ApplyBatch(updates []EdgeUpdate) (DynamicBatchResult, error) {
 	received := time.Now()
 	res, err := d.inner.ApplyBatch(updates)
@@ -401,8 +391,8 @@ type ExternalEdgeUpdate struct {
 	Del bool
 }
 
-// IngestBatch is the external-ID ingest path: updates may mention vertices
-// that have never been seen before. Unseen endpoints of insertions are
+// IngestBatch is the admission path: updates may mention vertices that have
+// never been seen before. Unseen endpoints of insertions are
 // interned — allocated the next dense internal IDs and admitted to the
 // graph as zero-degree vertices on the least-loaded partitions — before the
 // batch is applied and a fresh View published. Deletions mentioning an
@@ -413,11 +403,10 @@ type ExternalEdgeUpdate struct {
 // result arrays stay indexed by internal ID, whose external key is stable
 // across epochs because internal IDs are append-only.
 //
-// IngestBatch and dense-ID AutoGrow admissions cannot be mixed on one
-// Dynamic: a vertex admitted by ApplyBatch has no external ID, so a later
-// IngestBatch would hand its internal ID to a fresh external. Once
-// external ingest has begun, an IngestBatch that finds such vertices
-// returns an error without applying anything.
+// The allocator starts with the identity mapping over the vertices present
+// at the first call, so dense IDs are valid external IDs: a dense-ID stream
+// whose new vertices take the next IDs in first-mention order (as
+// GenerateStreamOpts' GrowFrac arrivals do) keeps ExternalIDs the identity.
 func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult, error) {
 	received := time.Now()
 	alloc := d.alloc.Load()
@@ -427,10 +416,6 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 		// external identity.
 		alloc.SeedIdentity(d.inner.NumVertices())
 		d.alloc.Store(alloc)
-	} else if alloc.Len() < d.inner.NumVertices() {
-		return DynamicBatchResult{}, fmt.Errorf(
-			"vebo: %d vertices were admitted outside external ingest (dense AutoGrow); IngestBatch and AutoGrow cannot be mixed",
-			d.inner.NumVertices()-alloc.Len())
 	}
 	ups := make([]EdgeUpdate, 0, len(updates))
 	var ingestErr error
@@ -462,13 +447,26 @@ func (d *Dynamic) IngestBatch(updates []ExternalEdgeUpdate) (DynamicBatchResult,
 	return res, err
 }
 
+// IdentityExternal maps a dense-ID stream onto external IDs under the
+// identity convention IngestBatch's allocator starts from: each vertex ID
+// is its own external ID. Streams whose new vertices take the next dense IDs
+// in first-mention order (GenerateStreamOpts' GrowFrac arrivals) intern to
+// the same internal IDs, so IngestBatch replays them exactly.
+func IdentityExternal(updates []EdgeUpdate) []ExternalEdgeUpdate {
+	out := make([]ExternalEdgeUpdate, len(updates))
+	for i, u := range updates {
+		out[i] = ExternalEdgeUpdate{Time: u.Time, Src: uint64(u.Src), Dst: uint64(u.Dst), Weight: u.Weight, Del: u.Del}
+	}
+	return out
+}
+
 // Snapshot materializes the live graph as an immutable CSR+CSC Graph any of
 // the three engines can traverse. Snapshots are cached per mutation epoch
 // and never mutated afterwards.
 func (d *Dynamic) Snapshot() *Graph { return d.inner.Snapshot() }
 
-// NumVertices reports the current vertex count; IngestBatch and AutoGrow
-// admissions raise it.
+// NumVertices reports the current vertex count; IngestBatch admissions
+// raise it.
 func (d *Dynamic) NumVertices() int { return d.inner.NumVertices() }
 
 // Imbalance returns the incrementally tracked Δ(n) (edge) and δ(n) (vertex)
@@ -504,9 +502,10 @@ func GenerateStream(recipe string, scale float64, ops int, seed int64) (*Graph, 
 type StreamOptions = gen.RecipeStreamOptions
 
 // GenerateStreamOpts is GenerateStream with extra options. With a non-zero
-// GrowFrac the stream interleaves vertex arrivals with the edge churn; feed
-// it to a Dynamic configured with AutoGrow (new vertices take dense IDs
-// beyond the base graph).
+// GrowFrac the stream interleaves vertex arrivals with the edge churn: new
+// vertices take the next dense IDs beyond the base graph in first-mention
+// order, so feed the stream to IngestBatch through IdentityExternal
+// (ApplyBatch rejects the out-of-range endpoints).
 func GenerateStreamOpts(recipe string, scale float64, ops int, seed int64, opts StreamOptions) (*Graph, []EdgeUpdate, error) {
 	return gen.StreamFromRecipeOpts(recipe, scale, ops, seed, opts)
 }

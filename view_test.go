@@ -137,12 +137,7 @@ func testPatchedMatchesScratch(t *testing.T, recipe string) {
 	// High thresholds keep the placement fixed so the patch path runs, and
 	// batches much smaller than the partition count leave most partitions
 	// untouched per epoch — the regime engine reuse targets.
-	stable := DynamicOptions{
-		Partitions:             64,
-		RebuildThreshold:       1 << 40,
-		VertexRebuildThreshold: 1 << 40,
-		Engine:                 viewTestOpts,
-	}
+	stable := DynamicOptions{Partitions: 64, RebuildThreshold: 1 << 40, Engine: viewTestOpts}
 	scratchOpts := stable
 	scratchOpts.DisableViewReuse = true
 
